@@ -29,6 +29,11 @@ def open_key(members: Iterable[str]) -> str:
     return ",".join(sorted(members))
 
 
+def open_of_key(key: str) -> frozenset[str]:
+    """Inverse of ``open_key``."""
+    return frozenset(key.split(",")) if key else frozenset()
+
+
 def sort_opens(opens: Iterable[frozenset[str]]) -> list[frozenset[str]]:
     """Lexicographic order on sorted point labels; the empty set first."""
     return sorted(opens, key=lambda u: tuple(sorted(u)))

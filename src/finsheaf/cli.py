@@ -176,21 +176,14 @@ def cmd_adjunction_test(args) -> tuple[dict, bool]:
     psi = ser.map_from_payload(ser.load_json(args.map), os.path.dirname(args.map) or ".")
     g = _need_full(_load_presheaf(args.presheaf), "adjunction-test")
     f = _need_full(_load_presheaf(args.sheaf), "adjunction-test")
-    from .functors import flat
-    from .presheaf import enumerate_presheaf_morphisms
-
     witness = check_adjunction(psi, g, f, max_homs=args.max_homs)
-    inv = pullback(psi, g)
-    pairs = []
-    for nu in enumerate_presheaf_morphisms(inv.sheaf, f, max_homs=args.max_homs):
-        pairs.append({
-            "nu": ser.morphism_tables(nu),
-            "flat": ser.morphism_tables(flat(nu, inv).body),
-        })
     payload = {
         "hom_upstairs": witness.hom_upstairs,
         "hom_downstairs": witness.hom_downstairs,
-        "transpositions": pairs,
+        "transpositions": [
+            {"nu": ser.morphism_tables(nu), "flat": ser.morphism_tables(image)}
+            for nu, image in witness.transpositions
+        ],
     }
     return payload, witness.verdict
 

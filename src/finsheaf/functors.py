@@ -40,7 +40,7 @@ from .topology import (
     minimal_open,
     require_continuous as _require_continuous,
 )
-from .values import FINAB, FINSET, ValueMorphism, ValueObject, compose
+from .values import FINAB, ValueMorphism, ValueObject, compose, family_object
 
 
 # -- direct image -------------------------------------------------------------
@@ -306,19 +306,8 @@ def pullback(psi: ContinuousMap, g: Presheaf) -> InverseImage:
             if pullback_section_valid(psi, g, u, fam):
                 families[_germ_family_label(fam)] = fam
         section_families[u] = families
-        labels = tuple(sorted(families))
-        if g.category == FINAB:
-            add = {}
-            for la, lb in product(labels, repeat=2):
-                s = {
-                    x: stalk_objects[x].add[(families[la][x], families[lb][x])]
-                    for x in pts
-                }
-                add[(la, lb)] = _germ_family_label(s)
-            zero = _germ_family_label({x: stalk_objects[x].zero for x in pts})
-            sections[u] = ValueObject(FINAB, labels, add=add, zero=zero)
-        else:
-            sections[u] = ValueObject(FINSET, labels)
+        sections[u] = family_object(
+            g.category, {x: stalk_objects[x] for x in pts}, families)
 
     res = {}
     for u in x_space.opens:
@@ -366,41 +355,46 @@ def _require_sheaf(f: Presheaf) -> Presheaf:
 
 
 def sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
-    """Transpose a ψ-morphism G → F across the inverse-image pair.
+    """Transpose a ψ-morphism G → F across an inverse-image pair.
 
-    Produces the unique ν: ψ*G → F with ψ_*(ν) ∘ unit = u, by gluing the
-    images of canonical germ representatives over minimal opens.  Pairs
-    without recorded germ families go through the stalkwise route.
+    Produces the unique ν: ψ*H → F with ψ_*(ν) ∘ unit = u, stalkwise: the
+    pair's fiber identification β_x must be bijective, and the image of a
+    section is the unique one with the transported germs.  Raises when the
+    pair fails to behave like an inverse image.
     """
-    if inv.families is None:
-        return _sharp_generic(u, inv)
     f = _require_sheaf(u.target)
-    psi = u.psi
+    psi = inv.psi
     x_space = psi.source
+    h = inv.sheaf
+    # per point x: its minimal open m, and the map H(m) → F(m) that undoes
+    # β_x, applies u and takes the germ at x
+    carry: dict[str, tuple[PointSet, dict[str, str]]] = {}
+    for x in sorted(x_space.points):
+        n = minimal_open(psi.target, psi(x))
+        m = minimal_open(x_space, x)
+        # β_x = (germ at x) ∘ (unit at the minimal open downstairs)
+        bx = compose(h.restrict(m, psi.preimage(n)), inv.unit.components[n])
+        if not bx.is_bijective():
+            raise NotInverseImagePair(
+                f"fiber identification at {x!r} is not bijective")
+        transport = compose(f.restrict(m, psi.preimage(n)), u.body.components[n]).map
+        carry[x] = (m, {germ: transport[g] for g, germ in bx.map.items()})
     components = {}
     for w in x_space.sorted_opens():
+        legs = [(h.restrict(m, w).map, f.restrict(m, w).map, along)
+                for m, along in (carry[x] for x in sorted(w))]
+        f_germs = {t: tuple(fg[t] for _, fg, _ in legs) for t in f.sections[w].elements}
         table = {}
-        for label in inv.sheaf.sections[w].elements:
-            fam = inv.families[w][label]
-            pieces = {}
-            for p in sorted(w):
-                v_p = minimal_open(psi.target, psi(p))
-                w_p = minimal_open(x_space, p)
-                t_p = fam[p]  # canonical representative over v_p
-                pieces[p] = compose(
-                    f.restrict(w_p, psi.preimage(v_p)), u.body.components[v_p]
-                ).map[t_p]
-            candidates = [
-                t for t in f.sections[w].elements
-                if all(f.restrict(minimal_open(x_space, p), w).map[t] == pieces[p]
-                       for p in sorted(w))
-            ]
+        for s in h.sections[w].elements:
+            wanted = tuple(along[hg[s]] for hg, _, along in legs)
+            candidates = [t for t, germs in f_germs.items() if germs == wanted]
             if len(candidates) != 1:
-                raise NotASheaf(
-                    f"germ pieces over {open_key(w)!r} glue to {len(candidates)} sections")
-            table[label] = candidates[0]
-        components[w] = ValueMorphism(inv.sheaf.sections[w], f.sections[w], table)
-    return PresheafMorphism(inv.sheaf, f, components)
+                raise NotInverseImagePair(
+                    f"transported germs over {open_key(w)!r} match "
+                    f"{len(candidates)} sections")
+            table[s] = candidates[0]
+        components[w] = ValueMorphism(h.sections[w], f.sections[w], table)
+    return PresheafMorphism(h, f, components)
 
 
 def flat(nu: PresheafMorphism, inv: InverseImage) -> PsiMorphism:
@@ -437,6 +431,8 @@ class AdjunctionWitness:
     hom_upstairs: int
     hom_downstairs: int
     verdict: bool
+    # (ν, ν♭) for every ν ∈ Hom_X(ψ*G, F), in enumeration order
+    transpositions: list[tuple[PresheafMorphism, PresheafMorphism]]
 
 
 def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
@@ -454,9 +450,11 @@ def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
     down_labels = {m.label(): m for m in downstairs}
     up_labels = {m.label(): m for m in upstairs}
     forward, backward = {}, {}
+    transpositions = []
     verdict = True
     for nu in upstairs:
         image = flat(nu, inv).body
+        transpositions.append((nu, image))
         lbl = image.label()
         forward[nu.label()] = lbl
         if lbl not in down_labels:
@@ -482,68 +480,19 @@ def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
             if not morphisms_equal(left, right):
                 verdict = False
                 break
-    return AdjunctionWitness(forward, backward, len(upstairs), len(downstairs), verdict)
+    return AdjunctionWitness(forward, backward, len(upstairs), len(downstairs), verdict,
+                             transpositions)
 
 
 # -- canonical comparisons ------------------------------------------------------
-
-def _sharp_generic(u: PsiMorphism, pair: InverseImage) -> PresheafMorphism:
-    """Transpose across an arbitrary claimed inverse-image pair.
-
-    Works stalkwise: the pair's fiber identification β_x must be
-    bijective; the image section is then the unique one with the
-    transported germs.  Raises when the pair fails to behave like an
-    inverse image.
-    """
-    f = _require_sheaf(u.target)
-    psi = pair.psi
-    x_space = psi.source
-    h = pair.sheaf
-    beta: dict[str, ValueMorphism] = {}
-    for x in sorted(x_space.points):
-        n = minimal_open(psi.target, psi(x))
-        m = minimal_open(x_space, x)
-        # β_x = (germ at x) ∘ (unit at the minimal open downstairs)
-        bx = compose(h.restrict(m, psi.preimage(n)), pair.unit.components[n])
-        if not bx.is_bijective():
-            raise NotInverseImagePair(
-                f"fiber identification at {x!r} is not bijective")
-        beta[x] = bx
-    components = {}
-    for w in x_space.sorted_opens():
-        table = {}
-        for s in h.sections[w].elements:
-            target_germs = {}
-            for x in sorted(w):
-                m = minimal_open(x_space, x)
-                n = minimal_open(psi.target, psi(x))
-                germ_here = h.restrict(m, w).map[s]
-                g_elem = beta[x].inverse().map[germ_here]
-                target_germs[x] = compose(
-                    f.restrict(m, psi.preimage(n)), u.body.components[n]
-                ).map[g_elem]
-            candidates = [
-                t for t in f.sections[w].elements
-                if all(
-                    f.restrict(minimal_open(x_space, x), w).map[t] == target_germs[x]
-                    for x in sorted(w))
-            ]
-            if len(candidates) != 1:
-                raise NotInverseImagePair(
-                    f"transported germs over {open_key(w)!r} match "
-                    f"{len(candidates)} sections")
-            table[s] = candidates[0]
-        components[w] = ValueMorphism(h.sections[w], f.sections[w], table)
-    return PresheafMorphism(h, f, components)
-
 
 def canonical_comparison(first: InverseImage, second: InverseImage) -> PresheafMorphism:
     """The unique isomorphism ζ between two inverse images of one presheaf
     with ψ_*(ζ) ∘ unit₁ = unit₂; both composites are verified."""
     if first.psi.assignment != second.psi.assignment:
         raise NotInverseImagePair("pairs pull back along different maps")
-    zeta = _sharp_generic(second.as_psi_morphism(), first)
-    xi = _sharp_generic(first.as_psi_morphism(), second)
+    zeta = sharp(second.as_psi_morphism(), first)
+    xi = sharp(first.as_psi_morphism(), second)
     if not (morphisms_equal(compose_morphisms(xi, zeta), identity_morphism(first.sheaf))
             and morphisms_equal(compose_morphisms(zeta, xi), identity_morphism(second.sheaf))):
         raise NotInverseImagePair("comparison morphisms are not mutually inverse")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
-from .canon import mapping_label, open_key, pair_label, sort_opens
+from .canon import mapping_label, open_key, open_of_key, pair_label
 from .errors import (
     CapExceeded,
     IncompatibleFamily,
@@ -22,7 +22,15 @@ from .errors import (
     NotIrreducible,
     ValueMismatch,
 )
-from .topology import Basis, Covering, FiniteSpace, PointSet, subspace
+from .topology import (
+    Basis,
+    Covering,
+    FiniteSpace,
+    PointSet,
+    antichain_coverings,
+    enumerate_antichain_coverings,
+    subspace,
+)
 from .values import (
     Diagram,
     FINSET,
@@ -38,10 +46,6 @@ from .values import (
     limit,
     singleton,
 )
-
-
-def _open_of_key(key: str) -> PointSet:
-    return frozenset(key.split(",")) if key else frozenset()
 
 
 class Presheaf:
@@ -194,12 +198,11 @@ def presheaves_equal(p: Presheaf, q: Presheaf) -> bool:
     return all(p.res[k].map == q.res[k].map for k in p.res)
 
 
-def validate_presheaf(p: Presheaf) -> bool:
-    """Identity and composition laws for the restriction morphisms."""
-    for u in p.space.opens:
+def _functorial(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> bool:
+    """Identity and composition laws for the restrictions among ``opens``."""
+    for u in opens:
         if p.restrict(u, u).map != identity(p.sections[u]).map:
             return False
-    opens = p.space.sorted_opens()
     for u in opens:
         for v in opens:
             if not u <= v:
@@ -212,6 +215,11 @@ def validate_presheaf(p: Presheaf) -> bool:
                 if direct.map != via.map:
                     return False
     return True
+
+
+def validate_presheaf(p: Presheaf) -> bool:
+    """Identity and composition laws for the restriction morphisms."""
+    return _functorial(p, p.space.sorted_opens())
 
 
 @dataclass
@@ -228,28 +236,40 @@ class SheafReport:
     failures: list[SheafFailure] = field(default_factory=list)
 
 
-def _compatible_families(p: Presheaf, cov: Covering) -> Iterable[tuple[str, ...]]:
+AgreeOn = Callable[[PointSet], Iterable[PointSet]]
+
+
+def _overlap(o: PointSet) -> tuple[PointSet]:
+    """Parts of a covering by opens must agree on their whole overlap."""
+    return (o,)
+
+
+def _compatible_families(p: Presheaf | BasisPresheaf, cov: Covering,
+                         agree_on: AgreeOn) -> Iterable[tuple[str, ...]]:
     """All families (s_α) agreeing on pairwise overlaps, in lex order.
 
-    Families come back as tuples aligned with the covering's sorted parts.
+    ``agree_on`` names the opens inside an overlap on which two parts must
+    agree.  Families come back as tuples aligned with the covering's
+    sorted parts.
     """
     parts = cov.parts
-    overlaps = [
-        (i, j, parts[i] & parts[j])
+    checks = [
+        (i, j, p.restrict(w, parts[i]).map, p.restrict(w, parts[j]).map)
         for i in range(len(parts)) for j in range(i + 1, len(parts))
+        for w in agree_on(parts[i] & parts[j])
     ]
     for combo in product(*[p.sections[a].elements for a in parts]):
         ok = True
-        for i, j, o in overlaps:
-            if p.restrict(o, parts[i]).map[combo[i]] != p.restrict(o, parts[j]).map[combo[j]]:
+        for i, j, ri, rj in checks:
+            if ri[combo[i]] != rj[combo[j]]:
                 ok = False
                 break
         if ok:
             yield combo
 
 
-def _check_covering(p: Presheaf, u: PointSet, cov: Covering,
-                    failures: list[SheafFailure] | None) -> bool:
+def _check_covering(p: Presheaf | BasisPresheaf, u: PointSet, cov: Covering,
+                    failures: list[SheafFailure] | None, agree_on: AgreeOn) -> bool:
     """G1 and G2 for one covering; returns verdict, appends witnesses."""
     parts = cov.parts
     if u == frozenset() and not parts:
@@ -272,7 +292,7 @@ def _check_covering(p: Presheaf, u: PointSet, cov: Covering,
                 failures.append(SheafFailure(
                     u, cov, "G1", {"sections": [s, t]}))
     glued_images = {tuple(r[s] for r in part_res) for s in elems}
-    for combo in _compatible_families(p, cov):
+    for combo in _compatible_families(p, cov, agree_on):
         if combo not in glued_images:
             ok = False
             if failures is None:
@@ -290,26 +310,22 @@ def check_sheaf(p: Presheaf, coverings=None) -> SheafReport:
     ``coverings`` may override the covering enumerator (the full
     power-set enumeration is the regression oracle for the antichain cut).
     """
-    from .topology import enumerate_antichain_coverings
-
     if not validate_presheaf(p):
         raise ValueMismatch("presheaf fails functoriality; refusing to check the sheaf axiom")
     enum = coverings or enumerate_antichain_coverings
     failures: list[SheafFailure] = []
     for u in p.space.sorted_opens():
         for cov in enum(p.space, u):
-            _check_covering(p, u, cov, failures)
+            _check_covering(p, u, cov, failures, _overlap)
     return SheafReport(not failures, failures)
 
 
 def is_sheaf(p: Presheaf, coverings=None) -> bool:
     """Verdict-only sheaf check with early exit; used by the big oracles."""
-    from .topology import enumerate_antichain_coverings
-
     enum = coverings or enumerate_antichain_coverings
     for u in p.space.sorted_opens():
         for cov in enum(p.space, u):
-            if not _check_covering(p, u, cov, None):
+            if not _check_covering(p, u, cov, None, _overlap):
                 return False
     return True
 
@@ -417,20 +433,7 @@ class BasisPresheaf:
         return self.res[(small, large)]
 
     def validate(self) -> bool:
-        for b in self.basis.members:
-            if self.restrict(b, b).map != identity(self.sections[b]).map:
-                return False
-        mem = self.basis.sorted_members()
-        for u in mem:
-            for v in mem:
-                if not u <= v:
-                    continue
-                for w in mem:
-                    if v <= w:
-                        if self.restrict(u, w).map != compose(
-                                self.restrict(u, v), self.restrict(v, w)).map:
-                            return False
-        return True
+        return _functorial(self, self.basis.sorted_members())
 
 
 def restrict_to_basis(p: Presheaf, basis: Basis) -> BasisPresheaf:
@@ -441,72 +444,16 @@ def restrict_to_basis(p: Presheaf, basis: Basis) -> BasisPresheaf:
         {(u, v): p.res[(u, v)] for u in mem for v in mem if u <= v})
 
 
-def _basis_antichain_coverings(bp: BasisPresheaf, u: PointSet) -> list[Covering]:
-    """Antichain coverings of a basis open by basis opens inside it."""
-    from itertools import combinations
-
-    members = [v for v in bp.basis.members_within(u) if v]
-    found: list[Covering] = []
-    if not u:
-        found.append(Covering(frozenset(), ()))
-        if frozenset() in bp.basis.members:
-            found.append(Covering(frozenset(), (frozenset(),)))
-        return sorted(found, key=Covering.key)
-    for r in range(1, len(members) + 1):
-        for combo in combinations(members, r):
-            if any(a < b or b < a for a in combo for b in combo):
-                continue
-            if frozenset().union(*combo) == u:
-                found.append(Covering(u, combo))
-    return sorted(found, key=Covering.key)
-
-
 def check_F0(bp: BasisPresheaf) -> SheafReport:
     """The sheaf axiom over basis coverings, with overlap compatibility
     tested on every basis open inside each pairwise intersection."""
     if not bp.validate():
         raise ValueMismatch("basis presheaf fails functoriality")
+    basis = bp.basis
     failures: list[SheafFailure] = []
-    for u in bp.basis.sorted_members():
-        for cov in _basis_antichain_coverings(bp, u):
-            parts = sort_opens(cov.parts)
-            if u == frozenset() and not parts:
-                if len(bp.sections[u]) != 1:
-                    failures.append(SheafFailure(
-                        u, cov, "EmptyNotTerminal",
-                        {"sections": list(bp.sections[u].elements)}))
-                continue
-            elems = bp.sections[u].elements
-            for i, s in enumerate(elems):
-                for t in elems[i + 1:]:
-                    if all(bp.restrict(a, u).map[s] == bp.restrict(a, u).map[t]
-                           for a in parts):
-                        failures.append(SheafFailure(u, cov, "G1", {"sections": [s, t]}))
-            glueable = {
-                pair_label((open_key(a), bp.restrict(a, u).map[s]) for a in parts)
-                for s in elems
-            }
-            for combo in product(*[bp.sections[a].elements for a in parts]):
-                fam = dict(zip(parts, combo))
-                compatible = True
-                for i, a in enumerate(parts):
-                    for b in parts[i + 1:]:
-                        for w in bp.basis.members_within(a & b):
-                            if bp.restrict(w, a).map[fam[a]] != bp.restrict(w, b).map[fam[b]]:
-                                compatible = False
-                                break
-                        if not compatible:
-                            break
-                    if not compatible:
-                        break
-                if not compatible:
-                    continue
-                key = pair_label((open_key(a), fam[a]) for a in parts)
-                if key not in glueable:
-                    failures.append(SheafFailure(
-                        u, cov, "G2",
-                        {"family": {open_key(a): fam[a] for a in parts}}))
-                    break
+    for u in basis.sorted_members():
+        for cov in antichain_coverings(u, basis.members_within(u)):
+            _check_covering(bp, u, cov, failures, basis.members_within)
     return SheafReport(not failures, failures)
 
 
@@ -595,7 +542,7 @@ def extend_morphism_from_basis(
     for w in space.opens:
         table = {}
         for label, fam in source.limits[w].families.items():
-            image = {i: components[_open_of_key(i)].map[fam[i]] for i in fam}
+            image = {i: components[open_of_key(i)].map[fam[i]] for i in fam}
             table[label] = pair_label(image.items())
         out[w] = ValueMorphism(source.presheaf.sections[w], target.presheaf.sections[w], table)
     return PresheafMorphism(source.presheaf, target.presheaf, out)

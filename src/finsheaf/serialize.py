@@ -28,10 +28,6 @@ DIAGRAM_SCHEMA = "finsheaf.diagram/1"
 REPORT_SCHEMA = "finsheaf.report/1"
 
 
-def _open_of_key(key: str) -> PointSet:
-    return frozenset(key.split(",")) if key else frozenset()
-
-
 def _sorted_open(u: PointSet) -> list[str]:
     return sorted(u)
 
@@ -261,7 +257,7 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
                     comps[u] = ValueMorphism(src.sections[u], tgt.sections[u], dict(table))
                 cocycle[(lam, mu)] = PresheafMorphism(src, tgt, comps)
         return GluingDatum(space, covering, parts, cocycle)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad gluing payload: {exc}") from exc
 
 
@@ -308,7 +304,7 @@ def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
                     sheaves[j].sections[u], sheaves[i].sections[u], dict(table))
             arrows[(i, j)] = PresheafMorphism(sheaves[j], sheaves[i], comps)
         return SheafDiagram(poset, sheaves, arrows)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad diagram payload: {exc}") from exc
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import open_key
+from .canon import open_key, open_of_key
 from .errors import NotASection, UnknownPoint, WrongCategory
 from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism
 from .topology import Basis, PointSet, minimal_open
@@ -57,14 +57,13 @@ def stalk(p: Presheaf, x: str) -> Stalk:
     return Stalk(x, obj, canonical)
 
 
-def neighborhood_colimit(p: Presheaf, x: str) -> tuple[Stalk, ColimitResult]:
-    """Oracle path: the filtered colimit over all open neighborhoods of x.
+def _neighborhood_colimit(p: Presheaf | BasisPresheaf, x: str, hoods: list[PointSet]
+                          ) -> tuple[Stalk, ColimitResult]:
+    """The filtered colimit over the neighborhoods ``hoods`` of x.
 
     The neighborhood poset is ordered by reverse inclusion (smaller opens
     are later), making the colimit arrows the restriction morphisms.
     """
-    p.space.require_point(x)
-    hoods = [u for u in p.space.sorted_opens() if x in u]
     names = {open_key(u): u for u in hoods}
     poset = Poset.from_pairs(
         names.keys(),
@@ -77,6 +76,13 @@ def neighborhood_colimit(p: Presheaf, x: str) -> tuple[Stalk, ColimitResult]:
     colim = filtered_colimit(diagram)
     canonical = {names[k]: colim.injections[k] for k in names}
     return Stalk(x, colim.object, canonical), colim
+
+
+def neighborhood_colimit(p: Presheaf, x: str) -> tuple[Stalk, ColimitResult]:
+    """Oracle path: the filtered colimit over all open neighborhoods of x."""
+    p.space.require_point(x)
+    hoods = [u for u in p.space.sorted_opens() if x in u]
+    return _neighborhood_colimit(p, x, hoods)
 
 
 def germ_of(p: Presheaf, u, s: str, x: str) -> Germ:
@@ -107,37 +113,16 @@ def stalk_via_basis(p: Presheaf | BasisPresheaf, basis: Basis, x: str) -> tuple[
     """
     space = basis.space
     space.require_point(x)
-    if isinstance(p, BasisPresheaf):
-        sections = p.sections
-        restrict = p.restrict
-    else:
-        sections = {b: p.sections[b] for b in basis.members}
-        restrict = p.restrict
     hoods = [b for b in basis.sorted_members() if x in b]
-    names = {open_key(u): u for u in hoods}
-    poset = Poset.from_pairs(
-        names.keys(),
-        [(open_key(u), open_key(v)) for u in hoods for v in hoods if v < u])
-    arrows = {
-        (i, j): restrict(names[j], names[i])
-        for (i, j) in poset.pairs_below()
-    }
-    diagram = Diagram(poset, {k: sections[v] for k, v in names.items()}, arrows)
-    colim = filtered_colimit(diagram)
-    canonical = {names[k]: colim.injections[k] for k in names}
-    basis_stalk = Stalk(x, colim.object, canonical)
+    basis_stalk, colim = _neighborhood_colimit(p, x, hoods)
     m = minimal_open(space, x)
     # comparison: a class maps to its representative's value over the
     # minimal open, the label scheme of the production stalk
     table = {}
     for label, members in colim.classes.items():
         key, elem = members[0]
-        table[label] = restrict(m, names[key]).map[elem]
-    if isinstance(p, BasisPresheaf):
-        target = sections[m]
-    else:
-        target = stalk(p, x).object
-    comparison = ValueMorphism(colim.object, target, table)
+        table[label] = p.restrict(m, open_of_key(key)).map[elem]
+    comparison = ValueMorphism(colim.object, p.sections[m], table)
     return basis_stalk, comparison
 
 

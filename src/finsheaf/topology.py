@@ -282,6 +282,35 @@ def _is_antichain(parts: tuple[PointSet, ...]) -> bool:
     return not any(a < b or b < a for a, b in combinations(parts, 2))
 
 
+def antichain_coverings(
+    u: PointSet, candidates: list[PointSet], max_coverings: int | None = None
+) -> list[Covering]:
+    """All antichain coverings of ``u`` by members of ``candidates``, sorted.
+
+    ``candidates`` are opens inside ``u`` in sorted order.  For the empty
+    set the result is the empty covering, plus {∅} when ∅ is a candidate.
+    """
+    nonempty = [v for v in candidates if v]
+    found: list[Covering] = []
+    if not u:
+        found.append(Covering(frozenset(), ()))
+        if frozenset() in candidates:
+            found.append(Covering(frozenset(), (frozenset(),)))
+    else:
+        for r in range(1, len(nonempty) + 1):
+            for combo in combinations(nonempty, r):
+                if not _is_antichain(combo):
+                    continue
+                if frozenset().union(*combo) != u:
+                    continue
+                found.append(Covering(u, combo))
+                if max_coverings is not None and len(found) > max_coverings:
+                    raise CapExceeded(
+                        f"more than {max_coverings} antichain coverings of {open_key(u)!r}"
+                    )
+    return sorted(found, key=Covering.key)
+
+
 def enumerate_antichain_coverings(
     space: FiniteSpace, u: Iterable[str], max_coverings: int | None = None
 ) -> list[Covering]:
@@ -294,24 +323,7 @@ def enumerate_antichain_coverings(
     (regression-tested against the full enumeration on tiny spaces).
     """
     su = space.require_open(u)
-    candidates = [v for v in space.opens_within(su) if v]
-    found: list[Covering] = []
-    if not su:
-        found.append(Covering(frozenset(), ()))
-        found.append(Covering(frozenset(), (frozenset(),)))
-    else:
-        for r in range(1, len(candidates) + 1):
-            for combo in combinations(candidates, r):
-                if not _is_antichain(combo):
-                    continue
-                if frozenset().union(*combo) != su:
-                    continue
-                found.append(Covering(su, combo))
-                if max_coverings is not None and len(found) > max_coverings:
-                    raise CapExceeded(
-                        f"more than {max_coverings} antichain coverings of {open_key(su)!r}"
-                    )
-    return sorted(found, key=Covering.key)
+    return antichain_coverings(su, space.opens_within(su), max_coverings)
 
 
 def enumerate_all_coverings(space: FiniteSpace, u: Iterable[str]) -> list[Covering]:

@@ -317,6 +317,24 @@ class LimitResult:
     families: dict[str, dict[str, str]]
 
 
+def family_object(category: str, objects: Mapping[str, ValueObject],
+                  families: Mapping[str, Mapping[str, str]]) -> ValueObject:
+    """The object whose elements are the labeled families over ``objects``.
+
+    In FinAb the group structure is componentwise; sums and the zero are
+    labeled by ``pair_label`` like the families themselves.
+    """
+    labels = tuple(sorted(families))
+    if category != FINAB:
+        return ValueObject(FINSET, labels)
+    add = {}
+    for la, lb in product(labels, repeat=2):
+        fa, fb = families[la], families[lb]
+        add[(la, lb)] = pair_label((i, o.add[(fa[i], fb[i])]) for i, o in objects.items())
+    zero = pair_label((i, o.zero) for i, o in objects.items())
+    return ValueObject(FINAB, labels, add=add, zero=zero)
+
+
 def limit(diagram: Diagram) -> LimitResult:
     """Projective limit: compatible families with componentwise structure.
 
@@ -326,7 +344,6 @@ def limit(diagram: Diagram) -> LimitResult:
     if diagram.orientation == COVARIANT:
         raise MalformedDiagram("limit needs contravariant arrows (larger to smaller)")
     idx = list(diagram.index.elements)
-    category = diagram.category
     families: dict[str, dict[str, str]] = {}
     for combo in product(*[diagram.objects[i].elements for i in idx]):
         fam = dict(zip(idx, combo))
@@ -336,21 +353,9 @@ def limit(diagram: Diagram) -> LimitResult:
         )
         if ok:
             families[pair_label(fam.items())] = fam
-    labels = tuple(sorted(families))
-    if category == FINAB:
-        add = {}
-        for la, lb in product(labels, repeat=2):
-            sums = {
-                i: diagram.objects[i].add[(families[la][i], families[lb][i])]
-                for i in idx
-            }
-            add[(la, lb)] = pair_label(sums.items())
-        zero = pair_label({i: diagram.objects[i].zero for i in idx}.items())
-        obj = ValueObject(FINAB, labels, add=add, zero=zero)
-    else:
-        obj = ValueObject(FINSET, labels)
+    obj = family_object(diagram.category, {i: diagram.objects[i] for i in idx}, families)
     projections = {
-        i: ValueMorphism(obj, diagram.objects[i], {l: families[l][i] for l in labels})
+        i: ValueMorphism(obj, diagram.objects[i], {l: families[l][i] for l in obj.elements})
         for i in idx
     }
     return LimitResult(obj, projections, families)

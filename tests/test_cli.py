@@ -186,6 +186,34 @@ class TestOtherVerbs:
         assert b"CapExceeded" in proc.stderr
 
 
+class TestMalformedTables:
+    """A table naming a non-element is malformed input: exit 2, JSON error."""
+
+    def assert_parse_error(self, argv, capsys):
+        code = main(argv)
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ParseError"
+
+    def test_cocycle_entry_outside_sections(self, tmp_path, capsys):
+        with open(fixture("pc4_twisted.gluing.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["cocycle"]["1"]["2"]["b"]["b=0"] = "b=7"
+        path = tmp_path / "bad.gluing.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_parse_error(["glue", "--gluing", str(path)], capsys)
+
+    def test_diagram_arrow_image_outside_target(self, tmp_path, capsys):
+        with open(fixture("sierp_pair.diagram.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["index"]["le"] = [["L", "R"]]
+        doc["arrows"] = {"L": {"R": {
+            "": {"*": "*"}, "1": {"u": "u"}, "0,1": {"s": "s", "t": "nowhere"}}}}
+        path = tmp_path / "bad.diagram.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_parse_error(["limit", "--diagram", str(path)], capsys)
+
+
 class TestDeterminism:
     def test_json_reports_byte_identical_across_processes(self):
         cmd = [sys.executable, "-m", "finsheaf", "check-sheaf",

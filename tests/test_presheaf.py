@@ -37,6 +37,7 @@ from finsheaf.presheaf import (
     validate_presheaf,
     PresheafMorphism,
 )
+from finsheaf.oracles import enumerate_presheaves, enumerate_topologies
 from finsheaf.topology import Basis, FiniteSpace, enumerate_antichain_coverings
 from finsheaf.values import (
     FINAB,
@@ -186,6 +187,22 @@ class TestF0:
         basis = Basis(sierp, frozenset({S_ONE, S_WHOLE}))
         bp = restrict_to_basis(sierp_sheaf, basis)
         assert check_F0(bp).verdict is True
+
+    def test_all_opens_basis_matches_check_sheaf_exhaustively(self):
+        """With every open as the basis, check_F0 reports exactly the
+        failures of check_sheaf: all FinSet presheaves with |F(U)| <= 2 on
+        every topology with <= 2 points and every 3-point one with <= 5 opens."""
+        spaces = []
+        for n in (0, 1, 2):
+            spaces += enumerate_topologies([str(i) for i in range(1, n + 1)])
+        spaces += [sp for sp in enumerate_topologies(["1", "2", "3"]) if len(sp.opens) <= 5]
+        total = 0
+        for sp in spaces:
+            basis = Basis(sp, frozenset(sp.opens))
+            for p in enumerate_presheaves(sp, max_size=2):
+                total += 1
+                assert check_F0(restrict_to_basis(p, basis)).failures == check_sheaf(p).failures
+        assert total == 9604
 
 
 class TestExtendFromBasis:

@@ -116,3 +116,24 @@ class TestMapAndGluingRoundTrip:
         d = ser.diagram_from_payload(doc, FIXTURES)
         assert set(d.index.elements) == {"L", "R"}
         assert canonical_json(ser.diagram_to_payload(d)) == canonical_json(doc)
+
+
+class TestFixtureRegeneration:
+    def test_make_fixtures_rewrites_shipped_files_byte_for_byte(self, tmp_path, monkeypatch):
+        import importlib.util
+        import sys
+
+        script = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        spec = importlib.util.spec_from_file_location("make_fixtures", script)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        monkeypatch.setattr(tool, "OUT", str(tmp_path))
+        tool.main()
+        written = sorted(os.listdir(tmp_path))
+        assert len(written) == 24
+        assert written == sorted(os.listdir(FIXTURES))
+        for name in written:
+            with open(tmp_path / name, "rb") as new, \
+                    open(os.path.join(FIXTURES, name), "rb") as shipped:
+                assert new.read() == shipped.read(), name

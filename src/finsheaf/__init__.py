@@ -1,7 +1,8 @@
 """Sheaves on finite topological spaces.
 
 Build presheaves valued in finite sets or finite abelian groups, verify
-the sheaf axioms with exhaustive coverings, and run every construction
+the sheaf axioms on the minimal opens (with exhaustive coverings kept as
+oracles), and run every construction
 (basis extension, stalks, sheafification, direct and inverse images with
 their adjunction, gluing from cocycle data, limits of sheaves) with
 brute-force oracles validating the categorical laws.
@@ -20,6 +21,7 @@ from .topology import (
     identity_map,
     is_irreducible,
     minimal_open,
+    minimal_open_coverings,
     open_inclusion,
     space_from_basis,
     subspace,

@@ -68,6 +68,7 @@ def _need_basis(p, what: str) -> BasisPresheaf:
 
 
 def _capped_coverings(cap: int | None):
+    """Every antichain covering under the cap, or None for the default check."""
     if cap is None:
         return None
     return lambda space, u: enumerate_antichain_coverings(space, u, max_coverings=cap)
@@ -254,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-coverings", type=int,
         default=int(os.environ.get("FINSHEAF_MAX_COVERINGS", "0")) or None,
-        help="hard cap on covering enumeration (error, never truncate)")
+        help="check-sheaf walks every antichain covering of each open, at most "
+             "this many (error, never truncate); unset, it checks one covering "
+             "per open, the maximal minimal opens inside it")
     common.add_argument(
         "--max-homs", type=int,
         default=int(os.environ.get("FINSHEAF_MAX_HOMS", str(10 ** 6))),

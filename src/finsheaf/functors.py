@@ -345,11 +345,7 @@ def sheafify(g: Presheaf) -> InverseImage:
 # -- the adjunction calculus ---------------------------------------------------
 
 def _require_sheaf(f: Presheaf) -> Presheaf:
-    verdict = getattr(f, "_sheaf_memo", None)
-    if verdict is None:
-        verdict = is_sheaf(f)
-        f._sheaf_memo = verdict
-    if not verdict:
+    if not is_sheaf(f):
         raise NotASheaf("operation needs a sheaf here")
     return f
 

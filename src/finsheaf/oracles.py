@@ -2,18 +2,18 @@
 
 Everything here exists to drive brute-force cross-checks on tiny
 instances: all labeled topologies on a few points, and all presheaves
-with bounded section sets over such a space.  The enumerators share
-value objects and morphisms aggressively; at three points the presheaf
-count already reaches the hundreds of thousands.
+with bounded section sets over such a space or over a basis of it.  The
+enumerators share value objects and morphisms aggressively; at three
+points the presheaf count already reaches the hundreds of thousands.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .presheaf import Presheaf
-from .topology import FiniteSpace, PointSet
+from .presheaf import BasisPresheaf, Presheaf
+from .topology import Basis, FiniteSpace, PointSet
 from .values import FINSET, ValueMorphism, ValueObject
 
 _LABELS = ("s0", "s1", "s2", "s3")
@@ -63,14 +63,29 @@ class _SharedTables:
 
 def enumerate_presheaves(space: FiniteSpace, max_size: int = 2,
                          min_size: int = 0) -> Iterator[Presheaf]:
-    """Every FinSet presheaf on the space with |F(U)| between the bounds.
+    """Every FinSet presheaf on the space with |F(U)| between the bounds."""
+    for sections, res in _functors(space.opens, max_size, min_size):
+        # wiring is consistent by construction; skip re-validation
+        yield Presheaf(space, FINSET, sections, res, validate=False)
+
+
+def enumerate_basis_presheaves(basis: Basis, max_size: int = 2,
+                               min_size: int = 0) -> Iterator[BasisPresheaf]:
+    """Every FinSet presheaf on the basis members with |F(B)| between the bounds."""
+    for sections, res in _functors(basis.members, max_size, min_size):
+        yield BasisPresheaf(basis, sections, res)
+
+
+def _functors(members: Iterable[PointSet], max_size: int,
+              min_size: int) -> Iterator[tuple[dict, dict]]:
+    """Every FinSet functor on ``members`` ordered by inclusion, as tables.
 
     Functors are built top-down: maps are chosen on the covering relations
     of the inclusion order and composites are checked for path
     independence, so each functor comes out exactly once.
     """
     shared = _SharedTables(max_size)
-    opens = sorted(space.opens, key=lambda u: (-len(u), tuple(sorted(u))))
+    opens = sorted(members, key=lambda u: (-len(u), tuple(sorted(u))))
     n = len(opens)
     supersets = {u: [v for v in opens if u < v] for u in opens}
     parents = {
@@ -83,7 +98,7 @@ def enumerate_presheaves(space: FiniteSpace, max_size: int = 2,
     size_of: dict[PointSet, int] = {}
     res: dict[tuple[PointSet, PointSet], ValueMorphism] = {}
 
-    def rec(i: int) -> Iterator[Presheaf]:
+    def rec(i: int):
         if i == n:
             sections = {u: shared.objects[size_of[u]] for u in opens}
             full = dict(res)
@@ -91,8 +106,7 @@ def enumerate_presheaves(space: FiniteSpace, max_size: int = 2,
                 full[(u, u)] = shared.morphism(
                     size_of[u], size_of[u],
                     tuple((a, a) for a in _LABELS[:size_of[u]]))
-            # wiring is consistent by construction; skip re-validation
-            yield Presheaf(space, FINSET, sections, full, validate=False)
+            yield sections, full
             return
         u = opens[i]
         for size in sizes:

@@ -1,9 +1,12 @@
 """Presheaves, morphisms, the gluing axiom, and basis extension.
 
 A presheaf stores one value object per open plus a restriction morphism
-for every inclusion pair.  The sheaf checker walks antichain coverings
-(plus the empty covering of the empty set, which forces terminal
-sections there) and reports every violation with witness data.
+for every inclusion pair.  The sheaf checker tests G1 and G2 on one
+covering per open, the maximal minimal opens inside it (the empty covering
+for the empty set, which forces terminal sections there), and reports
+every violation with witness data.  A ``coverings=`` enumerator overrides
+that choice: ``enumerate_antichain_coverings`` reports every antichain
+covering that fails, ``enumerate_all_coverings`` every covering.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from .topology import (
     Covering,
     FiniteSpace,
     PointSet,
-    antichain_coverings,
-    enumerate_antichain_coverings,
+    minimal_open_coverings,
     subspace,
 )
 from .values import (
@@ -201,18 +203,19 @@ def presheaves_equal(p: Presheaf, q: Presheaf) -> bool:
 def _functorial(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> bool:
     """Identity and composition laws for the restrictions among ``opens``."""
     for u in opens:
-        if p.restrict(u, u).map != identity(p.sections[u]).map:
+        if p.restrict(u, u).map != {a: a for a in p.sections[u].elements}:
             return False
     for u in opens:
         for v in opens:
             if not u <= v:
                 continue
+            outer = p.restrict(u, v).map
             for w in opens:
                 if not v <= w:
                     continue
-                direct = p.restrict(u, w)
-                via = compose(p.restrict(u, v), p.restrict(v, w))
-                if direct.map != via.map:
+                inner = p.restrict(v, w).map
+                via = {a: outer[inner[a]] for a in p.sections[w].elements}
+                if p.restrict(u, w).map != via:
                     return False
     return True
 
@@ -305,14 +308,14 @@ def _check_covering(p: Presheaf | BasisPresheaf, u: PointSet, cov: Covering,
 
 
 def check_sheaf(p: Presheaf, coverings=None) -> SheafReport:
-    """The gluing axiom over every antichain covering of every open.
+    """The gluing axiom on the maximal minimal opens inside every open.
 
-    ``coverings`` may override the covering enumerator (the full
-    power-set enumeration is the regression oracle for the antichain cut).
+    ``coverings`` may override the covering enumerator; the antichain and
+    full power-set enumerations are the regression oracles for the cut.
     """
     if not validate_presheaf(p):
         raise ValueMismatch("presheaf fails functoriality; refusing to check the sheaf axiom")
-    enum = coverings or enumerate_antichain_coverings
+    enum = coverings or minimal_open_coverings
     failures: list[SheafFailure] = []
     for u in p.space.sorted_opens():
         for cov in enum(p.space, u):
@@ -322,7 +325,7 @@ def check_sheaf(p: Presheaf, coverings=None) -> SheafReport:
 
 def is_sheaf(p: Presheaf, coverings=None) -> bool:
     """Verdict-only sheaf check with early exit; used by the big oracles."""
-    enum = coverings or enumerate_antichain_coverings
+    enum = coverings or minimal_open_coverings
     for u in p.space.sorted_opens():
         for cov in enum(p.space, u):
             if not _check_covering(p, u, cov, None, _overlap):
@@ -446,14 +449,18 @@ def restrict_to_basis(p: Presheaf, basis: Basis) -> BasisPresheaf:
 
 def check_F0(bp: BasisPresheaf) -> SheafReport:
     """The sheaf axiom over basis coverings, with overlap compatibility
-    tested on every basis open inside each pairwise intersection."""
+    tested on every basis open inside each pairwise intersection.
+
+    Like ``check_sheaf`` it tests one covering per basis member, by the
+    maximal minimal opens inside it; minimal opens lie in every basis.
+    """
     if not bp.validate():
         raise ValueMismatch("basis presheaf fails functoriality")
     basis = bp.basis
     failures: list[SheafFailure] = []
     for u in basis.sorted_members():
-        for cov in antichain_coverings(u, basis.members_within(u)):
-            _check_covering(bp, u, cov, failures, basis.members_within)
+        _check_covering(bp, u, basis.space.minimal_covering(u), failures,
+                        basis.members_within)
     return SheafReport(not failures, failures)
 
 

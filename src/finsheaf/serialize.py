@@ -133,10 +133,18 @@ def presheaf_from_payload(payload: dict, base_dir: str = ".") -> Presheaf | Basi
         raise ParseError(f"bad presheaf payload: {exc}") from exc
     if category not in (FINSET, FINAB):
         raise ParseError(f"unknown category {category!r}")
+    if not isinstance(raw_sections, dict):
+        raise ParseError("sections must be a table keyed by open")
+    if not (isinstance(raw_restrictions, dict)
+            and all(isinstance(row, dict) for row in raw_restrictions.values())):
+        raise ParseError("restrictions must be a table of tables keyed by open")
 
     if basis_arr is not None:
-        members = frozenset(frozenset(b) for b in basis_arr)
-        basis = Basis(space, members)
+        try:
+            members = frozenset(frozenset(b) for b in basis_arr)
+            basis = Basis(space, members)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad basis: {exc}") from exc
         opens = sorted(members, key=lambda u: tuple(sorted(u)))
     else:
         basis = None
@@ -163,7 +171,7 @@ def presheaf_from_payload(payload: dict, base_dir: str = ".") -> Presheaf | Basi
                         f"no restriction {open_key(v)!r} -> {open_key(u)!r}")
             try:
                 res[(u, v)] = ValueMorphism(sections[v], sections[u], dict(table))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ParseError(
                     f"bad restriction {open_key(v)!r} -> {open_key(u)!r}: {exc}") from exc
     if basis is not None:
@@ -187,7 +195,7 @@ def map_from_payload(payload: dict, base_dir: str = ".") -> ContinuousMap:
         source = _resolve_space(payload["source"], base_dir)
         target = _resolve_space(payload["target"], base_dir)
         return ContinuousMap(source, target, dict(payload["assignment"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad map payload: {exc}") from exc
 
 

@@ -2,8 +2,14 @@
 
 A space is a finite point set with an explicit family of open sets closed
 under union and intersection.  Spaces are immutable after construction:
-minimal open neighborhoods and the closure table are precomputed, and all
+minimal open neighborhoods and the sorted opens are precomputed, and all
 enumerations come back in lexicographic order on sorted point labels.
+
+Three covering enumerators share one signature ``(space, u)``.  The sheaf
+check's default, ``minimal_open_coverings``, gives one covering per open:
+the maximal minimal opens inside it, cached per space.
+``enumerate_antichain_coverings`` gives every antichain covering and
+``enumerate_all_coverings`` every covering; both stay as oracles.
 """
 
 from __future__ import annotations
@@ -50,15 +56,10 @@ class FiniteSpace:
             x: frozenset.intersection(*[u for u in self.opens if x in u])
             for x in self.points
         }
-        closed = [self.points - u for u in self.opens]
-        self._closure_of_point: dict[str, PointSet] = {
-            x: frozenset.intersection(*[c for c in closed if x in c])
-            for x in self.points
-        }
         self._sorted_opens: list[PointSet] = sort_opens(self.opens)
-        self._inclusion_pairs: list[tuple[PointSet, PointSet]] = [
-            (u, v) for u in self._sorted_opens for v in self._sorted_opens if u <= v
-        ]
+        # built on first use: most spaces an enumeration makes are never used
+        self._inclusion_pairs: list[tuple[PointSet, PointSet]] | None = None
+        self._minimal_coverings: dict[PointSet, Covering] | None = None
 
     def _validate(self) -> None:
         for u in self.opens:
@@ -94,6 +95,9 @@ class FiniteSpace:
 
     def inclusion_pairs(self) -> list[tuple[PointSet, PointSet]]:
         """All pairs (u, v) of opens with u ⊆ v, in sorted order."""
+        if self._inclusion_pairs is None:
+            opens = self._sorted_opens
+            self._inclusion_pairs = [(u, v) for u in opens for v in opens if u <= v]
         return self._inclusion_pairs
 
     def is_open(self, u: Iterable[str]) -> bool:
@@ -114,6 +118,20 @@ class FiniteSpace:
         """All opens contained in ``u``, sorted."""
         return [v for v in self.sorted_opens() if v <= u]
 
+    def minimal_covering(self, u: PointSet) -> Covering:
+        """The covering of the open ``u`` by the maximal minimal opens inside it.
+
+        Built for every open on first use and kept; the empty open gets
+        the empty covering.
+        """
+        if self._minimal_coverings is None:
+            covs = {}
+            for v in self.opens:
+                mins = {self._minimal[x] for x in v}
+                covs[v] = Covering(v, tuple(m for m in mins if not any(m < n for n in mins)))
+            self._minimal_coverings = covs
+        return self._minimal_coverings[u]
+
 
 @dataclass(frozen=True)
 class Basis:
@@ -130,9 +148,10 @@ class Basis:
             inside = [b for b in self.members if b <= u]
             if frozenset().union(*inside) != u:
                 raise ValueError(f"open {open_key(u)!r} is not a union of basis members")
+        object.__setattr__(self, "_sorted_members", sort_opens(self.members))
 
     def sorted_members(self) -> list[PointSet]:
-        return sort_opens(self.members)
+        return self._sorted_members
 
     def members_within(self, u: PointSet) -> list[PointSet]:
         return [b for b in self.sorted_members() if b <= u]
@@ -238,14 +257,12 @@ def minimal_open(space: FiniteSpace, x: str) -> PointSet:
 
 
 def closure(space: FiniteSpace, subset: Iterable[str]) -> PointSet:
-    """Smallest closed set containing ``subset``."""
+    """Smallest closed set containing ``subset``: the points whose minimal
+    open meets it."""
     s = frozenset(subset)
     for x in s:
         space.require_point(x)
-    out: PointSet = frozenset()
-    for x in s:
-        out = out | space._closure_of_point[x]
-    return out
+    return frozenset(y for y in space.points if space._minimal[y] & s)
 
 
 def is_irreducible(space: FiniteSpace) -> bool:
@@ -311,6 +328,23 @@ def antichain_coverings(
     return sorted(found, key=Covering.key)
 
 
+def minimal_open_coverings(
+    space: FiniteSpace, u: Iterable[str], max_coverings: int | None = None
+) -> list[Covering]:
+    """The one covering of ``u`` the gluing axiom needs: its maximal minimal opens.
+
+    The minimal opens form the smallest basis, so F is a sheaf exactly
+    when F(U) → lim_{U_x ⊆ U} F(U_x) is a bijection for every open U.  By
+    induction on U, that is G1 and G2 on this covering of every U; for the
+    empty set it is the empty covering, which forces terminal sections.
+    Verdicts are tested against the antichain and full enumerations.
+    """
+    su = space.require_open(u)
+    if max_coverings is not None and max_coverings < 1:
+        raise CapExceeded(f"more than {max_coverings} coverings of {open_key(su)!r}")
+    return [space.minimal_covering(su)]
+
+
 def enumerate_antichain_coverings(
     space: FiniteSpace, u: Iterable[str], max_coverings: int | None = None
 ) -> list[Covering]:
@@ -318,16 +352,17 @@ def enumerate_antichain_coverings(
 
     Includes the trivial covering {u}; for the empty set also the empty
     covering, which is what forces terminal sections there.  Checking the
-    gluing axiom over these suffices: the maximal parts of any covering
-    form an antichain subcovering through which the full condition factors
-    (regression-tested against the full enumeration on tiny spaces).
+    gluing axiom over these gives every failure the sheaf check can name;
+    the maximal parts of any covering form an antichain subcovering through
+    which the full condition factors (tested against the full enumeration
+    on tiny spaces).
     """
     su = space.require_open(u)
     return antichain_coverings(su, space.opens_within(su), max_coverings)
 
 
 def enumerate_all_coverings(space: FiniteSpace, u: Iterable[str]) -> list[Covering]:
-    """Exhaustive covering enumeration; the oracle for the antichain cut.
+    """Exhaustive covering enumeration; the oracle for the covering cuts.
 
     Exponential in the number of opens inside ``u``, so only usable on
     tiny spaces.

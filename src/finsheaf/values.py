@@ -344,14 +344,13 @@ def limit(diagram: Diagram) -> LimitResult:
     if diagram.orientation == COVARIANT:
         raise MalformedDiagram("limit needs contravariant arrows (larger to smaller)")
     idx = list(diagram.index.elements)
+    position = {i: n for n, i in enumerate(idx)}
+    checks = [(position[i], position[j], diagram.arrow(i, j).map)
+              for (i, j) in diagram.index.pairs_below()]
     families: dict[str, dict[str, str]] = {}
     for combo in product(*[diagram.objects[i].elements for i in idx]):
-        fam = dict(zip(idx, combo))
-        ok = all(
-            diagram.arrow(i, j).map[fam[j]] == fam[i]
-            for (i, j) in diagram.index.pairs_below()
-        )
-        if ok:
+        if all(arrow[combo[j]] == combo[i] for i, j, arrow in checks):
+            fam = dict(zip(idx, combo))
             families[pair_label(fam.items())] = fam
     obj = family_object(diagram.category, {i: diagram.objects[i] for i in idx}, families)
     projections = {

@@ -213,6 +213,41 @@ class TestMalformedTables:
         path.write_text(json.dumps(doc), encoding="utf-8")
         self.assert_parse_error(["limit", "--diagram", str(path)], capsys)
 
+    def write_presheaf(self, tmp_path, name, **changes) -> str:
+        with open(fixture(name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc.update(changes)
+        path = tmp_path / "bad.presheaf.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_basis_not_covering_an_open(self, tmp_path, capsys):
+        path = self.write_presheaf(tmp_path, "disc2_basis.presheaf.json", basis=[["1"]])
+        self.assert_parse_error(["check-f0", "--presheaf", path], capsys)
+
+    def test_basis_members_not_arrays(self, tmp_path, capsys):
+        path = self.write_presheaf(tmp_path, "disc2_basis.presheaf.json", basis=[1, 2])
+        self.assert_parse_error(["check-f0", "--presheaf", path], capsys)
+
+    def test_restriction_entry_not_a_table(self, tmp_path, capsys):
+        path = self.write_presheaf(tmp_path, "sierp_sheaf.presheaf.json",
+                                   restrictions={"0,1": 5})
+        self.assert_parse_error(["check-sheaf", "--presheaf", path], capsys)
+
+    def test_restrictions_not_a_table(self, tmp_path, capsys):
+        path = self.write_presheaf(tmp_path, "sierp_sheaf.presheaf.json", restrictions=[])
+        self.assert_parse_error(["check-sheaf", "--presheaf", path], capsys)
+
+    def test_map_assignment_not_pairs(self, tmp_path, capsys):
+        with open(fixture("pc4_to_sierp.map.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["assignment"] = ["abc"]
+        path = tmp_path / "bad.map.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_parse_error(
+            ["pushforward", "--map", str(path),
+             "--presheaf", fixture("pc4_locally_constant.presheaf.json")], capsys)
+
 
 class TestDeterminism:
     def test_json_reports_byte_identical_across_processes(self):

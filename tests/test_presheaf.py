@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from finsheaf import fixtures as fx
@@ -36,9 +38,20 @@ from finsheaf.presheaf import (
     restrict_to_open,
     validate_presheaf,
     PresheafMorphism,
+    _check_covering,
 )
-from finsheaf.oracles import enumerate_presheaves, enumerate_topologies
-from finsheaf.topology import Basis, FiniteSpace, enumerate_antichain_coverings
+from finsheaf.oracles import (
+    enumerate_basis_presheaves,
+    enumerate_presheaves,
+    enumerate_topologies,
+)
+from finsheaf.topology import (
+    Basis,
+    FiniteSpace,
+    antichain_coverings,
+    enumerate_antichain_coverings,
+    minimal_open,
+)
 from finsheaf.values import (
     FINAB,
     FINSET,
@@ -122,6 +135,19 @@ class TestCheckSheaf:
             empty, FINSET, lambda u: finset(["*"]), lambda u, v: {"*": "*"})
         assert check_sheaf(p).verdict
 
+    def test_one_covering_per_open_on_five_discrete_points(self):
+        """The constant presheaf fails G2 once on each open of two or more
+        points, and nowhere else; its sheafification passes."""
+        points = ["1", "2", "3", "4", "5"]
+        space = FiniteSpace(points, [c for r in range(6) for c in combinations(points, r)])
+        value = finset(["0", "1"])
+        report = check_sheaf(constant_presheaf(space, value))
+        assert len(report.failures) == 26
+        assert {f.kind for f in report.failures} == {"G2"}
+        assert [f.open_set for f in report.failures] == [
+            u for u in space.sorted_opens() if len(u) >= 2]
+        assert check_sheaf(fx.locally_constant_sheaf(space, value)).verdict is True
+
 
 class TestRepresentables:
     def test_singleton_probe_matches(self, sierp_sheaf, g2_failure):
@@ -203,6 +229,33 @@ class TestF0:
                 total += 1
                 assert check_F0(restrict_to_basis(p, basis)).failures == check_sheaf(p).failures
         assert total == 9604
+
+    def test_matches_antichain_loop_on_every_basis(self):
+        """check_F0 against its former loop over every antichain basis
+        covering, on every basis of every topology with <= 3 points.  Basis
+        presheaves have |F(B)| <= 2 on bases of at most 5 members and
+        |F(B)| <= 1 on the larger ones, which only 3-point spaces with 6 or
+        8 opens have; at size 2 those bases carry 589,002 presheaves."""
+        total = failing = 0
+        for n in (0, 1, 2, 3):
+            for sp in enumerate_topologies([str(i) for i in range(1, n + 1)]):
+                minimal = frozenset(minimal_open(sp, x) for x in sp.points)
+                rest = sorted(sp.opens - minimal, key=sorted)
+                for r in range(len(rest) + 1):
+                    for extra in combinations(rest, r):
+                        basis = Basis(sp, minimal | frozenset(extra))
+                        coverings = [
+                            (u, cov) for u in basis.sorted_members()
+                            for cov in antichain_coverings(u, basis.members_within(u))]
+                        max_size = 2 if len(basis.members) <= 5 else 1
+                        for bp in enumerate_basis_presheaves(basis, max_size=max_size):
+                            total += 1
+                            verdict = all(
+                                _check_covering(bp, u, cov, None, basis.members_within)
+                                for u, cov in coverings)
+                            assert check_F0(bp).verdict == verdict
+                            failing += not verdict
+        assert (total, failing) == (53833, 49474)
 
 
 class TestExtendFromBasis:

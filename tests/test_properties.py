@@ -2,18 +2,26 @@
 
 Pools are enumerated up front (deterministically) and hypothesis picks
 indices into them, so shrinking stays meaningful and no strategy has to
-build categorical structures from scratch.
+build categorical structures from scratch.  The one exception is the
+4-point sheaf-check comparison: there are too many presheaves to pool, so
+hypothesis draws a seed for ``random_presheaf``.
 """
+
+import random
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from finsheaf.functors import pullback, pushforward, sheafify
 from finsheaf.oracles import enumerate_presheaves, enumerate_topologies
 from finsheaf.presheaf import (
+    Presheaf,
+    check_sheaf,
     compose_morphisms,
     enumerate_presheaf_morphisms,
     is_sheaf,
     morphisms_equal,
+    presheaf_from_function,
     validate_presheaf,
 )
 from finsheaf.stalks import neighborhood_colimit, stalk
@@ -24,6 +32,7 @@ from finsheaf.topology import (
     enumerate_antichain_coverings,
     minimal_open,
 )
+from finsheaf.values import FINAB, FINSET, ValueMorphism, ValueObject, finset, identity
 from finsheaf import fixtures as fx
 
 TOPOLOGIES = enumerate_topologies(["1", "2"]) + enumerate_topologies(["1", "2", "3"])
@@ -71,6 +80,92 @@ def test_verdict_is_covering_order_independent(ix):
         return list(reversed(enumerate_antichain_coverings(space, u)))
 
     assert is_sheaf(p) == is_sheaf(p, coverings=backwards)
+
+
+FOUR_POINT_TOPOLOGIES = enumerate_topologies(["1", "2", "3", "4"])
+
+
+def random_presheaf(space, rng: random.Random, max_size: int) -> Presheaf:
+    """A FinSet presheaf with random section sets of size <= max_size.
+
+    Opens are filled from the largest down.  The restrictions into a new
+    open U are one random map out of the colimit of the sections over the
+    opens above U, so every composite agrees and every such presheaf can
+    come out.
+    """
+    sections, res = {}, {}
+    for u in sorted(space.opens, key=lambda v: (-len(v), sorted(v))):
+        above = [v for v in sections if u < v]
+        parent = {(v, s): (v, s) for v in above for s in sections[v].elements}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for v in above:
+            for w in above:
+                if v < w:
+                    for s in sections[w].elements:
+                        parent[find((w, s))] = find((v, res[(v, w)].map[s]))
+        roots = sorted({find(x) for x in parent}, key=lambda r: (sorted(r[0]), r[1]))
+        sections[u] = finset(f"s{k}" for k in range(rng.randint(1 if roots else 0, max_size)))
+        image = {r: rng.choice(sections[u].elements) for r in roots}
+        res[(u, u)] = identity(sections[u])
+        for v in above:
+            res[(u, v)] = ValueMorphism(sections[v], sections[u], {
+                s: image[find((v, s))] for s in sections[v].elements})
+    return Presheaf(space, FINSET, sections, res)
+
+
+def linearized(p: Presheaf, n: int) -> Presheaf:
+    """Z/n-linear combinations of sections, restrictions extended linearly."""
+
+    def label(vec) -> str:
+        return "v" + "".join(map(str, vec))
+
+    def section_at(u):
+        vecs = list(product(range(n), repeat=len(p.sections[u])))
+        add = {(label(a), label(b)): label([(x + y) % n for x, y in zip(a, b)])
+               for a in vecs for b in vecs}
+        return ValueObject(FINAB, tuple(map(label, vecs)), add=add,
+                           zero=label([0] * len(p.sections[u])))
+
+    def restriction(u, v):
+        src, tgt = p.sections[v].elements, p.sections[u].elements
+        r = p.restrict(u, v).map
+        table = {}
+        for vec in product(range(n), repeat=len(src)):
+            out = [0] * len(tgt)
+            for c, s in zip(vec, src):
+                k = tgt.index(r[s])
+                out[k] = (out[k] + c) % n
+            table[label(vec)] = label(out)
+        return table
+
+    return presheaf_from_function(p.space, FINAB, section_at, restriction)
+
+
+@given(st.integers(min_value=0, max_value=len(FOUR_POINT_TOPOLOGIES) - 1),
+       st.sampled_from([None, 2, 3]), st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_minimal_open_check_matches_antichain_check(ix, modulus, sheafified, seed):
+    """Random FinSet, Z/2 and Z/3 presheaves on 4 points, and their
+    sheafifications: one covering per open gives the antichain verdict, and
+    each of its failures is one the antichain walk reports too."""
+    space = FOUR_POINT_TOPOLOGIES[ix]
+    # Z/n sheafifications grow as n^4; sections of size 1 keep them at 81
+    p = random_presheaf(space, random.Random(seed),
+                        max_size=1 if modulus and sheafified else 2)
+    if modulus:
+        p = linearized(p, modulus)
+    if sheafified:
+        p = sheafify(p).sheaf
+    default = check_sheaf(p)
+    oracle = check_sheaf(p, coverings=enumerate_antichain_coverings)
+    assert default.verdict == oracle.verdict
+    assert all(f in oracle.failures for f in default.failures)
 
 
 @given(presheaf_indices)

@@ -358,7 +358,13 @@ def sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
     section is the unique one with the transported germs.  Raises when the
     pair fails to behave like an inverse image.
     """
-    f = _require_sheaf(u.target)
+    _require_sheaf(u.target)
+    return _sharp(u, inv)
+
+
+def _sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
+    """``sharp`` for a caller that has already checked that u.target is a sheaf."""
+    f = u.target
     psi = inv.psi
     x_space = psi.source
     h = inv.sheaf
@@ -456,7 +462,7 @@ def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
         if lbl not in down_labels:
             verdict = False
     for u in downstairs:
-        image = sharp(PsiMorphism(psi, g, f, u), inv)
+        image = _sharp(PsiMorphism(psi, g, f, u), inv)
         lbl = image.label()
         backward[u.label()] = lbl
         if lbl not in up_labels:

@@ -203,19 +203,18 @@ def presheaves_equal(p: Presheaf, q: Presheaf) -> bool:
 def _functorial(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> bool:
     """Identity and composition laws for the restrictions among ``opens``."""
     for u in opens:
-        if p.restrict(u, u).map != {a: a for a in p.sections[u].elements}:
+        if p.restrict(u, u).map != identity(p.sections[u]).map:
             return False
     for u in opens:
         for v in opens:
             if not u <= v:
                 continue
-            outer = p.restrict(u, v).map
             for w in opens:
                 if not v <= w:
                     continue
-                inner = p.restrict(v, w).map
-                via = {a: outer[inner[a]] for a in p.sections[w].elements}
-                if p.restrict(u, w).map != via:
+                direct = p.restrict(u, w)
+                via = compose(p.restrict(u, v), p.restrict(v, w))
+                if direct.map != via.map:
                     return False
     return True
 

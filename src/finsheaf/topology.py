@@ -2,7 +2,7 @@
 
 A space is a finite point set with an explicit family of open sets closed
 under union and intersection.  Spaces are immutable after construction:
-minimal open neighborhoods and the sorted opens are precomputed, and all
+minimal open neighborhoods and the closure table are precomputed, and all
 enumerations come back in lexicographic order on sorted point labels.
 
 Three covering enumerators share one signature ``(space, u)``.  The sheaf
@@ -56,9 +56,15 @@ class FiniteSpace:
             x: frozenset.intersection(*[u for u in self.opens if x in u])
             for x in self.points
         }
+        closed = [self.points - u for u in self.opens]
+        self._closure_of_point: dict[str, PointSet] = {
+            x: frozenset.intersection(*[c for c in closed if x in c])
+            for x in self.points
+        }
         self._sorted_opens: list[PointSet] = sort_opens(self.opens)
-        # built on first use: most spaces an enumeration makes are never used
-        self._inclusion_pairs: list[tuple[PointSet, PointSet]] | None = None
+        self._inclusion_pairs: list[tuple[PointSet, PointSet]] = [
+            (u, v) for u in self._sorted_opens for v in self._sorted_opens if u <= v
+        ]
         self._minimal_coverings: dict[PointSet, Covering] | None = None
 
     def _validate(self) -> None:
@@ -95,9 +101,6 @@ class FiniteSpace:
 
     def inclusion_pairs(self) -> list[tuple[PointSet, PointSet]]:
         """All pairs (u, v) of opens with u ⊆ v, in sorted order."""
-        if self._inclusion_pairs is None:
-            opens = self._sorted_opens
-            self._inclusion_pairs = [(u, v) for u in opens for v in opens if u <= v]
         return self._inclusion_pairs
 
     def is_open(self, u: Iterable[str]) -> bool:
@@ -148,10 +151,9 @@ class Basis:
             inside = [b for b in self.members if b <= u]
             if frozenset().union(*inside) != u:
                 raise ValueError(f"open {open_key(u)!r} is not a union of basis members")
-        object.__setattr__(self, "_sorted_members", sort_opens(self.members))
 
     def sorted_members(self) -> list[PointSet]:
-        return self._sorted_members
+        return sort_opens(self.members)
 
     def members_within(self, u: PointSet) -> list[PointSet]:
         return [b for b in self.sorted_members() if b <= u]
@@ -257,12 +259,14 @@ def minimal_open(space: FiniteSpace, x: str) -> PointSet:
 
 
 def closure(space: FiniteSpace, subset: Iterable[str]) -> PointSet:
-    """Smallest closed set containing ``subset``: the points whose minimal
-    open meets it."""
+    """Smallest closed set containing ``subset``."""
     s = frozenset(subset)
     for x in s:
         space.require_point(x)
-    return frozenset(y for y in space.points if space._minimal[y] & s)
+    out: PointSet = frozenset()
+    for x in s:
+        out = out | space._closure_of_point[x]
+    return out
 
 
 def is_irreducible(space: FiniteSpace) -> bool:
@@ -328,9 +332,7 @@ def antichain_coverings(
     return sorted(found, key=Covering.key)
 
 
-def minimal_open_coverings(
-    space: FiniteSpace, u: Iterable[str], max_coverings: int | None = None
-) -> list[Covering]:
+def minimal_open_coverings(space: FiniteSpace, u: Iterable[str]) -> list[Covering]:
     """The one covering of ``u`` the gluing axiom needs: its maximal minimal opens.
 
     The minimal opens form the smallest basis, so F is a sheaf exactly
@@ -339,10 +341,7 @@ def minimal_open_coverings(
     empty set it is the empty covering, which forces terminal sections.
     Verdicts are tested against the antichain and full enumerations.
     """
-    su = space.require_open(u)
-    if max_coverings is not None and max_coverings < 1:
-        raise CapExceeded(f"more than {max_coverings} coverings of {open_key(su)!r}")
-    return [space.minimal_covering(su)]
+    return [space.minimal_covering(space.require_open(u))]
 
 
 def enumerate_antichain_coverings(

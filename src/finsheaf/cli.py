@@ -30,7 +30,6 @@ from .presheaf import (
 )
 from .functors import check_adjunction, pullback, pushforward, sheafify
 from .stalks import stalk, support
-from .topology import enumerate_antichain_coverings
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -67,13 +66,6 @@ def _need_basis(p, what: str) -> BasisPresheaf:
     return p
 
 
-def _capped_coverings(cap: int | None):
-    """Every antichain covering under the cap, or None for the default check."""
-    if cap is None:
-        return None
-    return lambda space, u: enumerate_antichain_coverings(space, u, max_coverings=cap)
-
-
 def cmd_validate(args) -> tuple[dict, bool]:
     p = _load_presheaf(args.presheaf)
     if isinstance(p, BasisPresheaf):
@@ -85,7 +77,7 @@ def cmd_validate(args) -> tuple[dict, bool]:
 
 def cmd_check_sheaf(args) -> tuple[dict, bool]:
     p = _need_full(_load_presheaf(args.presheaf), "check-sheaf")
-    report = check_sheaf(p, coverings=_capped_coverings(args.max_coverings))
+    report = check_sheaf(p)
     return {"failures": _failures_payload(report)}, report.verdict
 
 
@@ -252,12 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--out", help="write the constructed artifact here")
-    common.add_argument(
-        "--max-coverings", type=int,
-        default=int(os.environ.get("FINSHEAF_MAX_COVERINGS", "0")) or None,
-        help="check-sheaf walks every antichain covering of each open, at most "
-             "this many (error, never truncate); unset, it checks one covering "
-             "per open, the maximal minimal opens inside it")
     common.add_argument(
         "--max-homs", type=int,
         default=int(os.environ.get("FINSHEAF_MAX_HOMS", str(10 ** 6))),

@@ -3,14 +3,16 @@
 The inverse image is built concretely: a section over an open U of the
 source is a family of germs, one per point, that locally comes from a
 single section downstairs.  On finite spaces membership reduces to a
-propagation rule along minimal opens; the verbatim exists-(V,W,t)
-definition is kept as the oracle for that rule.
+propagation rule along minimal opens: the germ at each z ∈ U_x is the
+germ at x restricted to V_ψ(z).  ``pullback`` hands that rule to
+``values.compatible_families`` as its check list; the verbatim
+exists-(V,W,t) definition, ``pullback_section_valid_oracle``, is kept as
+the oracle for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .canon import open_key, pair_label
 from .errors import (
@@ -40,7 +42,7 @@ from .topology import (
     minimal_open,
     require_continuous as _require_continuous,
 )
-from .values import FINAB, ValueMorphism, ValueObject, compose, family_object
+from .values import FINAB, ValueMorphism, ValueObject, compatible_families, compose, family_object
 
 
 # -- direct image -------------------------------------------------------------
@@ -232,26 +234,6 @@ def _germ_family_label(fam: dict[str, str]) -> str:
     return pair_label(fam.items())
 
 
-def pullback_section_valid(psi: ContinuousMap, g: Presheaf, u: PointSet,
-                           fam: dict[str, str]) -> bool:
-    """Fast membership test: germs propagate along minimal opens.
-
-    ``fam[x]`` is a germ at ψ(x), labeled by its value over the minimal
-    open there.  The family is a section iff for every x the germ of its
-    canonical representative matches the family at every point of the
-    minimal open of x.
-    """
-    x_space = psi.source
-    for x in u:
-        m_x = minimal_open(x_space, x)
-        v_x = minimal_open(psi.target, psi(x))
-        for z in m_x:
-            v_z = minimal_open(psi.target, psi(z))
-            if fam[z] != g.restrict(v_z, v_x).map[fam[x]]:
-                return False
-    return True
-
-
 def pullback_section_valid_oracle(psi: ContinuousMap, g: Presheaf, u: PointSet,
                                   fam: dict[str, str]) -> bool:
     """Verbatim membership: for each point an (open V, open W, section t)
@@ -295,16 +277,23 @@ def pullback(psi: ContinuousMap, g: Presheaf) -> InverseImage:
         raise NotASheaf("inverse image needs a functorial presheaf downstairs")
     x_space = psi.source
     stalk_objects = {x: stalk(g, psi(x)).object for x in x_space.points}
+    germ_open = {x: minimal_open(psi.target, psi(x)) for x in x_space.points}
+    ident = {x: {a: a for a in stalk_objects[x].elements} for x in x_space.points}
 
     section_families: dict[PointSet, dict[str, dict[str, str]]] = {}
     sections: dict[PointSet, ValueObject] = {}
     for u in x_space.sorted_opens():
         pts = sorted(u)
+        position = {x: n for n, x in enumerate(pts)}
+        # the germ at each z ∈ U_x is the germ at x restricted to V_ψ(z)
+        checks = [
+            (position[x], position[z], g.restrict(germ_open[z], germ_open[x]).map, ident[z])
+            for x in pts for z in sorted(minimal_open(x_space, x)) if z != x
+        ]
         families = {}
-        for combo in product(*[stalk_objects[x].elements for x in pts]):
+        for combo in compatible_families([stalk_objects[x].elements for x in pts], checks):
             fam = dict(zip(pts, combo))
-            if pullback_section_valid(psi, g, u, fam):
-                families[_germ_family_label(fam)] = fam
+            families[_germ_family_label(fam)] = fam
         section_families[u] = families
         sections[u] = family_object(
             g.category, {x: stalk_objects[x] for x in pts}, families)

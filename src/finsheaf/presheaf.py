@@ -12,7 +12,6 @@ covering that fails, ``enumerate_all_coverings`` every covering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from .canon import mapping_label, open_key, open_of_key, pair_label
@@ -40,6 +39,7 @@ from .values import (
     Poset,
     ValueMorphism,
     ValueObject,
+    compatible_families,
     compose,
     cyclic_group,
     enumerate_morphisms,
@@ -246,33 +246,13 @@ def _overlap(o: PointSet) -> tuple[PointSet]:
     return (o,)
 
 
-def _compatible_families(p: Presheaf | BasisPresheaf, cov: Covering,
-                         agree_on: AgreeOn) -> Iterable[tuple[str, ...]]:
-    """All families (s_α) agreeing on pairwise overlaps, in lex order.
-
-    ``agree_on`` names the opens inside an overlap on which two parts must
-    agree.  Families come back as tuples aligned with the covering's
-    sorted parts.
-    """
-    parts = cov.parts
-    checks = [
-        (i, j, p.restrict(w, parts[i]).map, p.restrict(w, parts[j]).map)
-        for i in range(len(parts)) for j in range(i + 1, len(parts))
-        for w in agree_on(parts[i] & parts[j])
-    ]
-    for combo in product(*[p.sections[a].elements for a in parts]):
-        ok = True
-        for i, j, ri, rj in checks:
-            if ri[combo[i]] != rj[combo[j]]:
-                ok = False
-                break
-        if ok:
-            yield combo
-
-
 def _check_covering(p: Presheaf | BasisPresheaf, u: PointSet, cov: Covering,
                     failures: list[SheafFailure] | None, agree_on: AgreeOn) -> bool:
-    """G1 and G2 for one covering; returns verdict, appends witnesses."""
+    """G1 and G2 for one covering; returns verdict, appends witnesses.
+
+    ``agree_on`` names the opens inside an overlap on which two parts of a
+    family must agree.
+    """
     parts = cov.parts
     if u == frozenset() and not parts:
         if len(p.sections[u]) != 1:
@@ -294,7 +274,12 @@ def _check_covering(p: Presheaf | BasisPresheaf, u: PointSet, cov: Covering,
                 failures.append(SheafFailure(
                     u, cov, "G1", {"sections": [s, t]}))
     glued_images = {tuple(r[s] for r in part_res) for s in elems}
-    for combo in _compatible_families(p, cov, agree_on):
+    checks = [
+        (i, j, p.restrict(w, parts[i]).map, p.restrict(w, parts[j]).map)
+        for i in range(len(parts)) for j in range(i + 1, len(parts))
+        for w in agree_on(parts[i] & parts[j])
+    ]
+    for combo in compatible_families([p.sections[a].elements for a in parts], checks):
         if combo not in glued_images:
             ok = False
             if failures is None:

@@ -65,11 +65,18 @@ def value_to_payload(obj: ValueObject):
     return {"elements": sorted(obj.elements), "zero": obj.zero, "add": triples}
 
 
+def _labels(labels) -> list[str]:
+    if not (isinstance(labels, list) and all(isinstance(a, str) for a in labels)):
+        raise ParseError(f"element labels must be an array of strings, got {labels!r}")
+    return labels
+
+
 def value_from_payload(payload, category: str) -> ValueObject:
     try:
         if category == FINSET:
-            return ValueObject(FINSET, tuple(payload))
-        return group_from_triples(payload["elements"], payload["add"],
+            return ValueObject(FINSET, tuple(_labels(payload)))
+        # the zero must be one of the elements, so it is a string too
+        return group_from_triples(_labels(payload["elements"]), payload["add"],
                                   payload["zero"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad value object: {exc}") from exc

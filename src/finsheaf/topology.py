@@ -20,7 +20,6 @@ from typing import Iterable, Mapping
 
 from .canon import open_key, sort_opens
 from .errors import (
-    CapExceeded,
     GeneratorsDoNotCover,
     NotAnOpen,
     NotContinuous,
@@ -303,9 +302,7 @@ def _is_antichain(parts: tuple[PointSet, ...]) -> bool:
     return not any(a < b or b < a for a, b in combinations(parts, 2))
 
 
-def antichain_coverings(
-    u: PointSet, candidates: list[PointSet], max_coverings: int | None = None
-) -> list[Covering]:
+def antichain_coverings(u: PointSet, candidates: list[PointSet]) -> list[Covering]:
     """All antichain coverings of ``u`` by members of ``candidates``, sorted.
 
     ``candidates`` are opens inside ``u`` in sorted order.  For the empty
@@ -325,10 +322,6 @@ def antichain_coverings(
                 if frozenset().union(*combo) != u:
                     continue
                 found.append(Covering(u, combo))
-                if max_coverings is not None and len(found) > max_coverings:
-                    raise CapExceeded(
-                        f"more than {max_coverings} antichain coverings of {open_key(u)!r}"
-                    )
     return sorted(found, key=Covering.key)
 
 
@@ -344,9 +337,7 @@ def minimal_open_coverings(space: FiniteSpace, u: Iterable[str]) -> list[Coverin
     return [space.minimal_covering(space.require_open(u))]
 
 
-def enumerate_antichain_coverings(
-    space: FiniteSpace, u: Iterable[str], max_coverings: int | None = None
-) -> list[Covering]:
+def enumerate_antichain_coverings(space: FiniteSpace, u: Iterable[str]) -> list[Covering]:
     """All antichain coverings of ``u`` by opens inside it, sorted.
 
     Includes the trivial covering {u}; for the empty set also the empty
@@ -357,7 +348,7 @@ def enumerate_antichain_coverings(
     on tiny spaces).
     """
     su = space.require_open(u)
-    return antichain_coverings(su, space.opens_within(su), max_coverings)
+    return antichain_coverings(su, space.opens_within(su))
 
 
 def enumerate_all_coverings(space: FiniteSpace, u: Iterable[str]) -> list[Covering]:

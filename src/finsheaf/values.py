@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .canon import pair_label
 from .errors import (
@@ -335,6 +335,25 @@ def family_object(category: str, objects: Mapping[str, ValueObject],
     return ValueObject(FINAB, labels, add=add, zero=zero)
 
 
+Check = tuple[int, int, Mapping[str, str], Mapping[str, str]]
+
+
+def compatible_families(domains: Sequence[Sequence[str]],
+                        checks: Sequence[Check]) -> Iterator[tuple[str, ...]]:
+    """The tuples t of ``product(*domains)`` passing every check, in lex order.
+
+    A check ``(i, j, left, right)`` asks ``left[t[i]] == right[t[j]]``.  This
+    is the one compatible-family scan: limits, the gluing check and the
+    inverse image all enumerate their families here.
+    """
+    for combo in product(*domains):
+        for i, j, left, right in checks:
+            if left[combo[i]] != right[combo[j]]:
+                break
+        else:
+            yield combo
+
+
 def limit(diagram: Diagram) -> LimitResult:
     """Projective limit: compatible families with componentwise structure.
 
@@ -345,13 +364,13 @@ def limit(diagram: Diagram) -> LimitResult:
         raise MalformedDiagram("limit needs contravariant arrows (larger to smaller)")
     idx = list(diagram.index.elements)
     position = {i: n for n, i in enumerate(idx)}
-    checks = [(position[i], position[j], diagram.arrow(i, j).map)
+    ident = {i: {a: a for a in diagram.objects[i].elements} for i in idx}
+    checks = [(position[i], position[j], ident[i], diagram.arrow(i, j).map)
               for (i, j) in diagram.index.pairs_below()]
     families: dict[str, dict[str, str]] = {}
-    for combo in product(*[diagram.objects[i].elements for i in idx]):
-        if all(arrow[combo[j]] == combo[i] for i, j, arrow in checks):
-            fam = dict(zip(idx, combo))
-            families[pair_label(fam.items())] = fam
+    for combo in compatible_families([diagram.objects[i].elements for i in idx], checks):
+        fam = dict(zip(idx, combo))
+        families[pair_label(fam.items())] = fam
     obj = family_object(diagram.category, {i: diagram.objects[i] for i in idx}, families)
     projections = {
         i: ValueMorphism(obj, diagram.objects[i], {l: families[l][i] for l in obj.elements})

@@ -171,20 +171,6 @@ class TestOtherVerbs:
         assert "verdict: pass" in out
         assert "elapsed" in out
 
-    def test_cap_flag_errors_loudly(self, capsys):
-        code = main(["check-sheaf", "--max-coverings", "0",
-                     "--presheaf", fixture("sierp_sheaf.presheaf.json")])
-        assert code == 2
-
-    def test_env_var_sets_default_cap(self):
-        env = dict(os.environ, FINSHEAF_MAX_COVERINGS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "finsheaf", "check-sheaf",
-             "--presheaf", fixture("disc2_g2_failure.presheaf.json")],
-            capture_output=True, env=env)
-        assert proc.returncode == 2
-        assert b"CapExceeded" in proc.stderr
-
 
 class TestMalformedTables:
     """A table naming a non-element is malformed input: exit 2, JSON error."""
@@ -237,6 +223,22 @@ class TestMalformedTables:
     def test_restrictions_not_a_table(self, tmp_path, capsys):
         path = self.write_presheaf(tmp_path, "sierp_sheaf.presheaf.json", restrictions=[])
         self.assert_parse_error(["check-sheaf", "--presheaf", path], capsys)
+
+    def test_finset_section_given_as_a_string(self, tmp_path, capsys):
+        # "st" must not be read as the set {s, t}
+        path = self.write_presheaf(tmp_path, "sierp_sheaf.presheaf.json", sections={
+            "": ["*"], "0,1": "st", "1": ["u"]})
+        self.assert_parse_error(["check-sheaf", "--presheaf", path], capsys)
+
+    def test_numeric_element_labels(self, tmp_path, capsys):
+        z1 = {"elements": ["0"], "zero": "0", "add": [["0", "0", "0"]]}
+        for category, numeric, other in [
+                ("FinSet", [0], ["t", "u"]),
+                ("FinAb", {"elements": [0], "zero": 0, "add": [[0, 0, 0]]}, z1)]:
+            path = self.write_presheaf(tmp_path, "disc2_basis.presheaf.json",
+                                       category=category,
+                                       sections={"1": numeric, "2": other})
+            self.assert_parse_error(["extend-basis", "--presheaf", path], capsys)
 
     def test_map_assignment_not_pairs(self, tmp_path, capsys):
         with open(fixture("pc4_to_sierp.map.json"), encoding="utf-8") as fh:

@@ -23,7 +23,6 @@ from finsheaf.functors import (
     psi_morphism_from_family,
     pullback,
     pullback_of_morphism,
-    pullback_section_valid,
     pullback_section_valid_oracle,
     pullback_stalk_iso,
     pushforward,
@@ -295,16 +294,22 @@ class TestPullback:
         assert not check_sheaf(bad).verdict
         assert not sheafify(bad).unit.is_isomorphism()
 
-    def test_membership_fast_path_matches_oracle(self, pc4):
-        psi = fx.pc4_to_sierp()
-        g = fx.sierp_two_section_sheaf()
-        stalks = {x: stalk(g, psi(x)).object for x in pc4.points}
-        for u in pc4.sorted_opens():
-            pts = sorted(u)
-            for combo in iproduct(*[stalks[x].elements for x in pts]):
-                fam = dict(zip(pts, combo))
-                assert (pullback_section_valid(psi, g, u, fam)
-                        == pullback_section_valid_oracle(psi, g, u, fam))
+    def test_membership_fast_path_matches_oracle(self, sierp):
+        # the constant presheaf's sheafification rejects the mixed families
+        for psi, g in [(fx.pc4_to_sierp(), fx.sierp_two_section_sheaf()),
+                       (identity_map(sierp), fx.constant_two(sierp))]:
+            stalks = {x: stalk(g, psi(x)).object for x in psi.source.points}
+            families = pullback(psi, g).families
+            rejected = 0
+            for u in psi.source.sorted_opens():
+                pts = sorted(u)
+                candidates = [dict(zip(pts, combo))
+                              for combo in iproduct(*[stalks[x].elements for x in pts])]
+                expected = [fam for fam in candidates
+                            if pullback_section_valid_oracle(psi, g, u, fam)]
+                assert list(families[u].values()) == expected
+                rejected += len(candidates) - len(expected)
+        assert rejected > 0
 
 
 class TestSharpFlat:

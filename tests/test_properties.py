@@ -12,7 +12,12 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from finsheaf.functors import pullback, pushforward, sheafify
+from finsheaf.functors import (
+    pullback,
+    pullback_section_valid_oracle,
+    pushforward,
+    sheafify,
+)
 from finsheaf.oracles import enumerate_presheaves, enumerate_topologies
 from finsheaf.presheaf import (
     Presheaf,
@@ -30,6 +35,7 @@ from finsheaf.topology import (
     check_continuous,
     compose_maps,
     enumerate_antichain_coverings,
+    identity_map,
     minimal_open,
 )
 from finsheaf.values import FINAB, FINSET, ValueMorphism, ValueObject, finset, identity
@@ -166,6 +172,47 @@ def test_minimal_open_check_matches_antichain_check(ix, modulus, sheafified, see
     oracle = check_sheaf(p, coverings=enumerate_antichain_coverings)
     assert default.verdict == oracle.verdict
     assert all(f in oracle.failures for f in default.failures)
+
+
+PULLBACK_SOURCES = [t for t in TOPOLOGIES if len(t.points) == 3] + FOUR_POINT_TOPOLOGIES
+
+
+def random_continuous_map(source, target, rng: random.Random) -> ContinuousMap:
+    """A random continuous map; constant maps always are, so this ends."""
+    while True:
+        m = ContinuousMap(source, target, {
+            x: rng.choice(sorted(target.points)) for x in sorted(source.points)})
+        if check_continuous(m):
+            return m
+
+
+@given(st.integers(min_value=0, max_value=len(PULLBACK_SOURCES) - 1),
+       st.integers(min_value=0, max_value=len(TOPOLOGIES)),
+       st.booleans(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_pullback_families_match_verbatim_membership(ix, tx, z2, seed):
+    """ψ*G(U) holds, in product order, exactly the germ families that the
+    verbatim exists-(V, W, t) definition accepts.  Sources have 3 or 4
+    points, non-T0 ones included; the last target index draws the identity,
+    i.e. sheafification.  G is a random FinSet presheaf or its Z/2-span."""
+    rng = random.Random(seed)
+    source = PULLBACK_SOURCES[ix]
+    if tx == len(TOPOLOGIES):
+        psi = identity_map(source)
+    else:
+        psi = random_continuous_map(source, TOPOLOGIES[tx], rng)
+    g = random_presheaf(psi.target, rng, max_size=2)
+    if z2:
+        g = linearized(g, 2)
+    families = pullback(psi, g).families
+    stalks = {x: stalk(g, psi(x)).object for x in source.points}
+    for u in source.sorted_opens():
+        pts = sorted(u)
+        candidates = (dict(zip(pts, combo))
+                      for combo in product(*[stalks[x].elements for x in pts]))
+        expected = [fam for fam in candidates
+                    if pullback_section_valid_oracle(psi, g, u, fam)]
+        assert list(families[u].values()) == expected
 
 
 @given(presheaf_indices)

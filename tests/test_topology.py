@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finsheaf import fixtures as fx
-from finsheaf.errors import CapExceeded, GeneratorsDoNotCover, NotAnOpen, UnknownPoint
+from finsheaf.errors import GeneratorsDoNotCover, NotAnOpen, UnknownPoint
 from finsheaf.topology import (
     ContinuousMap,
     Covering,
@@ -194,10 +194,6 @@ class TestCoverings:
             anti = {c.key() for c in enumerate_antichain_coverings(pc4, u)}
             full = {c.key() for c in enumerate_all_coverings(pc4, u)}
             assert anti <= full
-
-    def test_cap(self, pc4):
-        with pytest.raises(CapExceeded):
-            enumerate_antichain_coverings(pc4, pc4.points, max_coverings=0)
 
     def test_covering_normalizes_parts(self):
         cov = Covering(frozenset({"1", "2"}),

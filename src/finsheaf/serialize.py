@@ -71,6 +71,12 @@ def _labels(labels) -> list[str]:
     return labels
 
 
+def _table(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a table, got {value!r}")
+    return value
+
+
 def value_from_payload(payload, category: str) -> ValueObject:
     try:
         if category == FINSET:
@@ -247,10 +253,11 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
 
     try:
         space = _resolve_space(payload["space"], base_dir)
-        covering = {lam: frozenset(pts) for lam, pts in payload["covering"].items()}
+        covering = {lam: frozenset(pts)
+                    for lam, pts in _table(payload["covering"], "covering").items()}
         parts: dict[str, Presheaf] = {}
-        for lam, doc in payload["parts"].items():
-            local = dict(doc)
+        for lam, doc in _table(payload["parts"], "parts").items():
+            local = dict(_table(doc, f"part {lam!r}"))
             local["schema"] = PRESHEAF_SCHEMA
             local["space"] = space_to_payload(subspace(space, covering[lam]))
             part = presheaf_from_payload(local, base_dir)
@@ -258,8 +265,9 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
                 raise ParseError("gluing parts must be full presheaves")
             parts[lam] = part
         cocycle: dict[tuple[str, str], PresheafMorphism] = {}
-        for lam, row in payload.get("cocycle", {}).items():
-            for mu, tables in row.items():
+        for lam, row in _table(payload.get("cocycle", {}), "cocycle").items():
+            for mu, tables in _table(row, f"cocycle row {lam!r}").items():
+                tables = _table(tables, f"cocycle ({lam!r},{mu!r})")
                 overlap = covering[lam] & covering[mu]
                 src = restrict_to_open(parts[mu], overlap)
                 tgt = restrict_to_open(parts[lam], overlap)
@@ -269,7 +277,8 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
                     if table is None:
                         raise CrossReferenceError(
                             f"cocycle ({lam!r},{mu!r}) misses open {open_key(u)!r}")
-                    comps[u] = ValueMorphism(src.sections[u], tgt.sections[u], dict(table))
+                    comps[u] = ValueMorphism(src.sections[u], tgt.sections[u],
+                                             dict(_table(table, "cocycle table")))
                 cocycle[(lam, mu)] = PresheafMorphism(src, tgt, comps)
         return GluingDatum(space, covering, parts, cocycle)
     except (KeyError, TypeError, ValueError) as exc:
@@ -295,9 +304,9 @@ def diagram_to_payload(d: SheafDiagram) -> dict:
 
 def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
     try:
+        index = _table(payload["index"], "index")
         poset = Poset.from_pairs(
-            payload["index"]["elements"],
-            [tuple(p) for p in payload["index"].get("le", [])])
+            index["elements"], [tuple(p) for p in index.get("le", [])])
         sheaves = {}
         for i in poset.elements:
             p = presheaf_from_payload(payload["sheaves"][i], base_dir)
@@ -306,17 +315,19 @@ def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
             sheaves[i] = p
         arrows = {}
         for (i, j) in poset.pairs_below():
-            tables = payload["arrows"].get(i, {}).get(j)
+            row = _table(payload["arrows"], "arrows").get(i, {})
+            tables = _table(row, f"arrow row {i!r}").get(j)
             if tables is None:
                 raise CrossReferenceError(f"diagram misses arrow ({i!r}, {j!r})")
+            tables = _table(tables, f"arrow ({i!r}, {j!r})")
             comps = {}
             for u in sheaves[j].space.opens:
                 table = tables.get(open_key(u))
                 if table is None:
                     raise CrossReferenceError(
                         f"arrow ({i!r},{j!r}) misses open {open_key(u)!r}")
-                comps[u] = ValueMorphism(
-                    sheaves[j].sections[u], sheaves[i].sections[u], dict(table))
+                comps[u] = ValueMorphism(sheaves[j].sections[u], sheaves[i].sections[u],
+                                         dict(_table(table, "arrow table")))
             arrows[(i, j)] = PresheafMorphism(sheaves[j], sheaves[i], comps)
         return SheafDiagram(poset, sheaves, arrows)
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,8 +2,9 @@
 
 On a finite space the minimal open neighborhood is cofinal among all
 neighborhoods, so the stalk is realized by the sections over it; that
-shortcut is the production path.  The general filtered-colimit quotient
-is kept alongside as the oracle the shortcut is checked against.
+shortcut is the production path.  The general quotient, the colimit of
+the restrictions over the neighborhoods ordered by inclusion, is kept
+alongside as the oracle the shortcut is checked against.
 """
 
 from __future__ import annotations
@@ -59,17 +60,17 @@ def stalk(p: Presheaf, x: str) -> Stalk:
 
 def _neighborhood_colimit(p: Presheaf | BasisPresheaf, x: str, hoods: list[PointSet]
                           ) -> tuple[Stalk, ColimitResult]:
-    """The filtered colimit over the neighborhoods ``hoods`` of x.
+    """The colimit of the restrictions over the neighborhoods ``hoods`` of x.
 
-    The neighborhood poset is ordered by reverse inclusion (smaller opens
-    are later), making the colimit arrows the restriction morphisms.
+    The neighborhoods are ordered by inclusion; they are down-directed
+    because each contains the minimal open of x.
     """
     names = {open_key(u): u for u in hoods}
     poset = Poset.from_pairs(
         names.keys(),
-        [(open_key(u), open_key(v)) for u in hoods for v in hoods if v < u])
+        [(open_key(u), open_key(v)) for u in hoods for v in hoods if u < v])
     arrows = {
-        (i, j): p.restrict(names[j], names[i])
+        (i, j): p.restrict(names[i], names[j])
         for (i, j) in poset.pairs_below()
     }
     diagram = Diagram(poset, {k: p.sections[v] for k, v in names.items()}, arrows)

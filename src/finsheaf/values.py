@@ -4,6 +4,9 @@ FinAb objects carry explicit addition tables rather than invariant-factor
 decompositions: the axioms are checked by full table scan, which is cheap
 at the scale everything here runs at.  Every canonical construction
 (limit tuples, colimit classes) produces deterministic composite labels.
+
+A ``Diagram`` is a presheaf on a finite poset: its arrows run from larger
+to smaller index, like restrictions, for limits and colimits alike.
 """
 
 from __future__ import annotations
@@ -214,28 +217,26 @@ class Poset:
         """All strictly comparable pairs (i, j) with i < j, sorted."""
         return sorted((a, b) for (a, b) in self.le if a != b)
 
-    def upper_bounds(self, a: str, b: str) -> list[str]:
-        return [c for c in self.elements if self.leq(a, c) and self.leq(b, c)]
+    def lower_bounds(self, a: str, b: str) -> list[str]:
+        return [c for c in self.elements if self.leq(c, a) and self.leq(c, b)]
 
     def is_filtered(self) -> bool:
+        """Nonempty with common lower bounds: the opposite poset is filtered."""
         if not self.elements:
             return False
-        return all(self.upper_bounds(a, b) for a in self.elements for b in self.elements)
-
-
-COVARIANT = "covariant"
-CONTRAVARIANT = "contravariant"
+        return all(self.lower_bounds(a, b) for a in self.elements for b in self.elements)
 
 
 @dataclass
 class Diagram:
-    """A functor from a finite poset into FinSet or FinAb.
+    """A presheaf on a finite poset with values in FinSet or FinAb.
 
     ``arrows`` holds one morphism per comparable pair ``(i, j)`` with
-    ``i < j``; all arrows must run the same way: index order to object
-    (covariant) or object to index order (contravariant).  Identity
-    arrows are implicit.  ``category_hint`` pins the value category for
-    the empty diagram, where no object can witness it.
+    ``i < j``, running from ``objects[j]`` to ``objects[i]`` like a
+    restriction; ``arrow(i, j) = arrow(i, k) ∘ arrow(k, j)`` whenever
+    ``i < k < j``.  Identity arrows are implicit.  ``category_hint`` pins
+    the value category for the empty diagram, where no object can
+    witness it.
     """
 
     index: Poset
@@ -255,7 +256,12 @@ class Diagram:
         for (i, j), arr in self.arrows.items():
             if i == j and arr.map != identity(self.objects[i]).map:
                 raise MalformedDiagram(f"explicit arrow at ({i!r}, {i!r}) is not the identity")
-        self.orientation = self._orientation()
+        for (i, j) in self.index.pairs_below():
+            if (i, j) not in self.arrows:
+                raise MalformedDiagram(f"missing arrow for {i!r} <= {j!r}")
+            arr = self.arrows[(i, j)]
+            if arr.source != self.objects[j] or arr.target != self.objects[i]:
+                raise MalformedDiagram(f"arrow at ({i!r}, {j!r}) connects wrong objects")
         self._check_functorial()
 
     @property
@@ -264,43 +270,15 @@ class Diagram:
             return next(iter(self.objects.values())).category
         return self.category_hint or FINSET
 
-    def _orientation(self) -> str | None:
-        possible = {COVARIANT, CONTRAVARIANT}
-        for (i, j) in self.index.pairs_below():
-            if (i, j) not in self.arrows:
-                raise MalformedDiagram(f"missing arrow for {i!r} <= {j!r}")
-            arr = self.arrows[(i, j)]
-            fits = set()
-            if arr.source == self.objects[i] and arr.target == self.objects[j]:
-                fits.add(COVARIANT)
-            if arr.source == self.objects[j] and arr.target == self.objects[i]:
-                fits.add(CONTRAVARIANT)
-            if not fits:
-                raise MalformedDiagram(f"arrow at ({i!r}, {j!r}) connects wrong objects")
-            possible &= fits
-            if not possible:
-                raise MalformedDiagram("arrows do not share one orientation")
-        if possible == {COVARIANT, CONTRAVARIANT}:
-            return None
-        return next(iter(possible))
-
     def _check_functorial(self) -> None:
-        # orientation None (only identity-shaped arrows) must satisfy both orders
-        orders = [o for o in (CONTRAVARIANT, COVARIANT)
-                  if self.orientation in (o, None)]
         for (i, j) in self.index.pairs_below():
             for k in self.index.elements:
-                if k == i or k == j:
-                    continue
-                if self.index.leq(i, k) and self.index.leq(k, j):
-                    for orient in orders:
-                        if orient == CONTRAVARIANT:
-                            left = compose(self.arrows[(i, k)], self.arrows[(k, j)])
-                        else:
-                            left = compose(self.arrows[(k, j)], self.arrows[(i, k)])
-                        if left.map != self.arrows[(i, j)].map:
-                            raise MalformedDiagram(
-                                f"composite through {k!r} disagrees on ({i!r}, {j!r})")
+                if k != i and k != j and self.index.leq(i, k) and self.index.leq(k, j):
+                    ik, kj = self.arrows[(i, k)].map, self.arrows[(k, j)].map
+                    via = {a: ik[kj[a]] for a in self.objects[j].elements}
+                    if via != self.arrows[(i, j)].map:
+                        raise MalformedDiagram(
+                            f"composite through {k!r} disagrees on ({i!r}, {j!r})")
 
     def arrow(self, i: str, j: str) -> ValueMorphism:
         """The arrow attached to ``i <= j`` (identity when ``i == j``)."""
@@ -357,11 +335,8 @@ def compatible_families(domains: Sequence[Sequence[str]],
 def limit(diagram: Diagram) -> LimitResult:
     """Projective limit: compatible families with componentwise structure.
 
-    Arrows must run from larger to smaller index (contravariant); the
-    empty diagram yields the terminal object.
+    The empty diagram yields the terminal object.
     """
-    if diagram.orientation == COVARIANT:
-        raise MalformedDiagram("limit needs contravariant arrows (larger to smaller)")
     idx = list(diagram.index.elements)
     position = {i: n for n, i in enumerate(idx)}
     ident = {i: {a: a for a in diagram.objects[i].elements} for i in idx}
@@ -418,15 +393,13 @@ class ColimitResult:
 
 
 def filtered_colimit(diagram: Diagram) -> ColimitResult:
-    """Inductive limit over a filtered poset, as classes of (index, element).
+    """Colimit over a down-directed poset, as classes of (index, element).
 
-    Two pairs are identified when they agree after pushing to a common
-    upper index; classes are labeled by their least representative.
+    Two pairs are identified when they agree after restricting to a common
+    lower index; classes are labeled by their least representative.
     """
     if not diagram.index.is_filtered():
-        raise NotFiltered("index poset is empty or has a pair without upper bound")
-    if diagram.orientation == CONTRAVARIANT:
-        raise MalformedDiagram("filtered colimit needs covariant arrows")
+        raise NotFiltered("index poset is empty or has a pair without lower bound")
     idx = list(diagram.index.elements)
     pairs = [(i, a) for i in idx for a in diagram.objects[i].elements]
     parent = {p: p for p in pairs}
@@ -447,8 +420,8 @@ def filtered_colimit(diagram: Diagram) -> ColimitResult:
             if (i, a) >= (j, b):
                 continue
             if any(
-                diagram.arrow(i, k).map[a] == diagram.arrow(j, k).map[b]
-                for k in diagram.index.upper_bounds(i, j)
+                diagram.arrow(k, i).map[a] == diagram.arrow(k, j).map[b]
+                for k in diagram.index.lower_bounds(i, j)
             ):
                 union((i, a), (j, b))
 
@@ -468,9 +441,9 @@ def filtered_colimit(diagram: Diagram) -> ColimitResult:
         def add_classes(la: str, lb: str) -> str:
             i, a = classes[la][0]
             j, b = classes[lb][0]
-            k = sorted(diagram.index.upper_bounds(i, j))[0]
+            k = sorted(diagram.index.lower_bounds(i, j))[0]
             s = diagram.objects[k].add[
-                (diagram.arrow(i, k).map[a], diagram.arrow(j, k).map[b])
+                (diagram.arrow(k, i).map[a], diagram.arrow(k, j).map[b])
             ]
             return label_of_pair[(k, s)]
 

@@ -172,6 +172,64 @@ class TestOtherVerbs:
         assert "elapsed" in out
 
 
+CONST_A = {"a": "a", "b": "a"}
+SWAP = {"a": "b", "b": "a"}
+
+
+class TestNoncommutingArrowsBetweenEqualObjects:
+    """Restrictions between equal section sets that do not commute with each
+    other, composed in the one order a presheaf composes them."""
+
+    def test_extend_basis_on_chain(self, tmp_path, capsys):
+        # 3-point chain, minimal-open basis: swap on top, constant a into {1}
+        doc = {
+            "schema": "finsheaf.presheaf/1",
+            "category": "FinSet",
+            "space": {"points": ["1", "2", "3"],
+                      "opens": [[], ["1"], ["1", "2"], ["1", "2", "3"]]},
+            "basis": [["1"], ["1", "2"], ["1", "2", "3"]],
+            "sections": {"1": ["a", "b"], "1,2": ["a", "b"], "1,2,3": ["a", "b"]},
+            "restrictions": {"1,2": {"1": CONST_A},
+                             "1,2,3": {"1": CONST_A, "1,2": SWAP}},
+        }
+        path = tmp_path / "chain.presheaf.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _ = run_cli_json(["validate", "--presheaf", str(path)], capsys)
+        assert code == 0
+        code, report = run_cli_json(["extend-basis", "--presheaf", str(path)], capsys)
+        assert code == 0
+        assert report["payload"] == {
+            "sections": {"": 1, "1": 2, "1,2": 2, "1,2,3": 2},
+            "canonical_bijective": {"1": True, "1,2": True, "1,2,3": True},
+        }
+
+    def test_limit_of_three_copies(self, tmp_path, capsys):
+        # the constant {a, b} sheaf on a point over i < j < k
+        sheaf = {
+            "category": "FinSet",
+            "space": {"points": ["p"], "opens": [[], ["p"]]},
+            "sections": {"": ["*"], "p": ["a", "b"]},
+            "restrictions": {"p": {"": {"a": "*", "b": "*"}}},
+        }
+
+        def arrow(table):
+            return {"": {"*": "*"}, "p": table}
+
+        doc = {
+            "schema": "finsheaf.diagram/1",
+            "index": {"elements": ["i", "j", "k"],
+                      "le": [["i", "j"], ["i", "k"], ["j", "k"]]},
+            "sheaves": {n: sheaf for n in "ijk"},
+            "arrows": {"i": {"j": arrow(CONST_A), "k": arrow(CONST_A)},
+                       "j": {"k": arrow(SWAP)}},
+        }
+        path = tmp_path / "chain.diagram.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report = run_cli_json(["limit", "--diagram", str(path)], capsys)
+        assert code == 0
+        assert report["payload"] == {"sections": {"": 1, "p": 2}, "is_sheaf": True}
+
+
 class TestMalformedTables:
     """A table naming a non-element is malformed input: exit 2, JSON error."""
 
@@ -195,6 +253,31 @@ class TestMalformedTables:
         doc["index"]["le"] = [["L", "R"]]
         doc["arrows"] = {"L": {"R": {
             "": {"*": "*"}, "1": {"u": "u"}, "0,1": {"s": "s", "t": "nowhere"}}}}
+        path = tmp_path / "bad.diagram.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_parse_error(["limit", "--diagram", str(path)], capsys)
+
+    def test_cocycle_entry_not_a_table(self, tmp_path, capsys):
+        with open(fixture("pc4_untwisted.gluing.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["cocycle"]["1"]["2"] = []
+        path = tmp_path / "bad.gluing.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_parse_error(["glue", "--gluing", str(path)], capsys)
+
+    def test_covering_not_a_table(self, tmp_path, capsys):
+        with open(fixture("pc4_untwisted.gluing.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["covering"] = []
+        path = tmp_path / "bad.gluing.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_parse_error(["glue", "--gluing", str(path)], capsys)
+
+    def test_diagram_arrow_not_a_table(self, tmp_path, capsys):
+        with open(fixture("sierp_pair.diagram.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["index"]["le"] = [["L", "R"]]
+        doc["arrows"] = {"L": {"R": []}}
         path = tmp_path / "bad.diagram.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         self.assert_parse_error(["limit", "--diagram", str(path)], capsys)

@@ -6,6 +6,7 @@ from finsheaf import fixtures as fx
 from finsheaf.errors import (
     CapExceeded,
     IncompatibleFamily,
+    MalformedDiagram,
     MixedCategories,
     NotIrreducible,
     ValueMismatch,
@@ -258,6 +259,24 @@ class TestF0:
         assert (total, failing) == (53833, 49474)
 
 
+CONST_A = {"a": "a", "b": "a"}
+SWAP = {"a": "b", "b": "a"}
+
+
+def chain_basis_presheaf() -> BasisPresheaf:
+    """The minimal opens {1} ⊆ {1,2} ⊆ {1,2,3} of the 3-point chain, all
+    sections {a, b}: F({1,2,3}) → F({1,2}) swaps, and both maps into F({1})
+    are the constant a.  Functorial, though swap and constant do not commute."""
+    space = FiniteSpace(["1", "2", "3"], [[], ["1"], ["1", "2"], ["1", "2", "3"]])
+    u1, u12, u123 = frozenset("1"), frozenset("12"), frozenset("123")
+    ab = finset(["a", "b"])
+    res = {(u, u): identity(ab) for u in (u1, u12, u123)}
+    for pair, table in [((u1, u12), CONST_A), ((u1, u123), CONST_A), ((u12, u123), SWAP)]:
+        res[pair] = ValueMorphism(ab, ab, table)
+    basis = Basis(space, frozenset({u1, u12, u123}))
+    return BasisPresheaf(basis, {u: ab for u in (u1, u12, u123)}, res)
+
+
 class TestExtendFromBasis:
     def test_disc2_product_extension(self, disc2):
         ext = extend_from_basis(disc2_basis_presheaf(disc2))
@@ -306,6 +325,27 @@ class TestExtendFromBasis:
         _, theta, psi = basis_round_trip(skyscraper, basis)
         assert morphisms_equal(compose_morphisms(psi, theta),
                                identity_morphism(skyscraper))
+
+    def test_noncommuting_restrictions_between_equal_objects(self):
+        bp = chain_basis_presheaf()
+        assert bp.validate()
+        ext = extend_from_basis(bp)
+        assert is_sheaf(ext.presheaf)
+        assert all(ext.can(b).is_bijective() for b in bp.basis.members)
+
+    def test_every_small_sheaf_on_three_points_extends(self):
+        """Every FinSet basis presheaf with |F(U_x)| <= 2 on the minimal-open
+        basis of every 3-point topology extends to a sheaf whose canonical
+        projections are bijections."""
+        total = 0
+        for sp in enumerate_topologies(["1", "2", "3"]):
+            basis = Basis(sp, frozenset(minimal_open(sp, x) for x in sp.points))
+            for bp in enumerate_basis_presheaves(basis):
+                ext = extend_from_basis(bp)
+                assert is_sheaf(ext.presheaf)
+                assert all(ext.can(b).is_bijective() for b in basis.members)
+                total += 1
+        assert total == 909
 
 
 class TestNestedBases:
@@ -491,6 +531,92 @@ class TestLimitOfSheaves:
                 for i in ("L", "R"):
                     assert morphisms_equal(
                         compose_morphisms(lim.projections[i], med), cone[i])
+
+
+PT = frozenset({"p"})
+
+
+def point_sheaf(labels=("a", "b")) -> Presheaf:
+    return constant_presheaf(fx.point_space(), finset(labels))
+
+
+def point_endomorphism(sheaf: Presheaf, table) -> PresheafMorphism:
+    """The endomorphism of a sheaf on the point given by ``table`` over it."""
+    comps = {u: identity(sheaf.sections[u]) for u in sheaf.space.opens}
+    comps[PT] = ValueMorphism(sheaf.sections[PT], sheaf.sections[PT], table)
+    return PresheafMorphism(sheaf, sheaf, comps)
+
+
+def point_chain(ij, jk, ik) -> SheafDiagram:
+    """Three copies of ``point_sheaf()`` over i < j < k with the given tables."""
+    sheaf = point_sheaf()
+    poset = Poset.from_pairs(["i", "j", "k"], [("i", "j"), ("j", "k")])
+    arrows = {pair: point_endomorphism(sheaf, table)
+              for pair, table in [(("i", "j"), ij), (("j", "k"), jk), (("i", "k"), ik)]}
+    return SheafDiagram(poset, {n: sheaf for n in "ijk"}, arrows)
+
+
+class TestLimitOfNoncommutingArrows:
+    def test_constant_swap_constant(self):
+        # arrow(i, k) = arrow(i, j) ∘ arrow(j, k), though swap ∘ const ≠ const
+        lim = limit_of_sheaves(point_chain(CONST_A, SWAP, CONST_A))
+        assert check_sheaf(lim.presheaf).verdict
+        families = {tuple(sorted(f.items())) for f in lim.limits[PT].families.values()}
+        assert families == {
+            (("i", "a"), ("j", "a"), ("k", "b")),
+            (("i", "a"), ("j", "b"), ("k", "a")),
+        }
+
+
+class TestSheafDiagramRejections:
+    """Each malformed sheaf diagram is rejected with its own message."""
+
+    def assert_rejected(self, message, poset, sheaves, arrows):
+        with pytest.raises(MalformedDiagram) as exc:
+            SheafDiagram(poset, sheaves, arrows)
+        assert str(exc.value) == message
+
+    def test_sheaves_on_different_spaces(self, sierp_sheaf):
+        self.assert_rejected(
+            "sheaves live on different spaces",
+            Poset.from_pairs(["L", "R"], []), {"L": sierp_sheaf, "R": point_sheaf()}, {})
+
+    def test_missing_arrow(self):
+        sheaf = point_sheaf()
+        self.assert_rejected(
+            "missing arrow for 'L' <= 'R'",
+            Poset.from_pairs(["L", "R"], [("L", "R")]), {"L": sheaf, "R": sheaf}, {})
+
+    def test_explicit_self_arrow_not_identity(self):
+        sheaf = point_sheaf()
+        self.assert_rejected(
+            "explicit arrow at ('L', 'L') is not the identity",
+            Poset.from_pairs(["L"], []), {"L": sheaf},
+            {("L", "L"): point_endomorphism(sheaf, SWAP)})
+
+    def test_arrow_connects_wrong_sheaves(self):
+        small, large = point_sheaf(), point_sheaf(("a", "b", "c"))
+        # the arrow for L <= R must run from the sheaf at R to the one at L
+        self.assert_rejected(
+            "arrow at ('L', 'R') connects wrong sheaves",
+            Poset.from_pairs(["L", "R"], [("L", "R")]), {"L": small, "R": large},
+            {("L", "R"): identity_morphism(small)})
+
+    def test_composite_disagrees(self):
+        with pytest.raises(MalformedDiagram) as exc:
+            point_chain(SWAP, SWAP, SWAP)
+        assert str(exc.value) == "composite through 'j' disagrees on ('i', 'k')"
+
+    def test_mixed_categories(self, sierp_sheaf, skyscraper):
+        with pytest.raises(MixedCategories):
+            SheafDiagram(Poset.from_pairs(["L", "R"], []),
+                         {"L": sierp_sheaf, "R": skyscraper}, {})
+
+    def test_node_not_a_sheaf(self, disc2):
+        self.assert_rejected(
+            "node 'only' is not a sheaf",
+            Poset.from_pairs(["only"], []),
+            {"only": constant_presheaf(disc2, finset(["0", "1"]))}, {})
 
 
 class TestConstantAndSimple:

@@ -18,12 +18,17 @@ from finsheaf.functors import (
     pushforward,
     sheafify,
 )
-from finsheaf.oracles import enumerate_presheaves, enumerate_topologies
+from finsheaf.oracles import (
+    enumerate_basis_presheaves,
+    enumerate_presheaves,
+    enumerate_topologies,
+)
 from finsheaf.presheaf import (
     Presheaf,
     check_sheaf,
     compose_morphisms,
     enumerate_presheaf_morphisms,
+    extend_from_basis,
     is_sheaf,
     morphisms_equal,
     presheaf_from_function,
@@ -31,6 +36,7 @@ from finsheaf.presheaf import (
 )
 from finsheaf.stalks import neighborhood_colimit, stalk
 from finsheaf.topology import (
+    Basis,
     ContinuousMap,
     check_continuous,
     compose_maps,
@@ -172,6 +178,20 @@ def test_minimal_open_check_matches_antichain_check(ix, modulus, sheafified, see
     oracle = check_sheaf(p, coverings=enumerate_antichain_coverings)
     assert default.verdict == oracle.verdict
     assert all(f in oracle.failures for f in default.failures)
+
+
+@given(st.integers(min_value=0, max_value=len(FOUR_POINT_TOPOLOGIES) - 1),
+       st.integers(min_value=0))
+@settings(max_examples=100, deadline=None)
+def test_small_sheaves_on_four_points_extend(ix, k):
+    """A FinSet basis presheaf with |F(U_x)| <= 2 on the minimal-open basis
+    of a 4-point topology extends to a sheaf with bijective projections."""
+    space = FOUR_POINT_TOPOLOGIES[ix]
+    basis = Basis(space, frozenset(minimal_open(space, x) for x in space.points))
+    pool = list(enumerate_basis_presheaves(basis))
+    ext = extend_from_basis(pool[k % len(pool)])
+    assert is_sheaf(ext.presheaf)
+    assert all(ext.can(b).is_bijective() for b in basis.members)
 
 
 PULLBACK_SOURCES = [t for t in TOPOLOGIES if len(t.points) == 3] + FOUR_POINT_TOPOLOGIES

@@ -164,13 +164,13 @@ class TestLimit:
 
 
 def filtered_three(max_obj):
-    """Poset {lo1, lo2} < top with the given object at the top."""
+    """Poset m < {a, b} with the given object at the bottom m."""
     lo = finset(["u", "v"])
-    poset = Poset.from_pairs(["a", "b", "m"], [("a", "m"), ("b", "m")])
+    poset = Poset.from_pairs(["a", "b", "m"], [("m", "a"), ("m", "b")])
     to_top = ValueMorphism(lo, max_obj, {"u": max_obj.elements[0],
                                          "v": max_obj.elements[0]})
     return Diagram(poset, {"a": lo, "b": lo, "m": max_obj},
-                   {("a", "m"): to_top, ("b", "m"): to_top})
+                   {("m", "a"): to_top, ("m", "b"): to_top})
 
 
 class TestFilteredColimit:
@@ -182,10 +182,10 @@ class TestFilteredColimit:
 
     def test_chain_collapses(self):
         a_obj, b_obj = finset(["a1", "a2"]), finset(["b"])
-        poset = Poset.from_pairs(["a", "b"], [("a", "b")])
+        poset = Poset.from_pairs(["a", "b"], [("b", "a")])
         arrow = ValueMorphism(a_obj, b_obj, {"a1": "b", "a2": "b"})
         colim = filtered_colimit(Diagram(poset, {"a": a_obj, "b": b_obj},
-                                         {("a", "b"): arrow}))
+                                         {("b", "a"): arrow}))
         assert len(colim.object) == 1
 
     def test_maximum_element_dominates(self):
@@ -208,10 +208,10 @@ class TestFilteredColimit:
 
     def test_finab_colimit_group_structure(self):
         z2 = cyclic_group(2)
-        poset = Poset.from_pairs(["a", "m"], [("a", "m")])
+        poset = Poset.from_pairs(["a", "m"], [("m", "a")])
         arrow = ValueMorphism(z2, z2, {"0": "0", "1": "1"})
         colim = filtered_colimit(Diagram(poset, {"a": z2, "m": z2},
-                                         {("a", "m"): arrow}))
+                                         {("m", "a"): arrow}))
         assert colim.object.category == FINAB
         assert len(colim.object) == 2
 
@@ -223,7 +223,7 @@ class TestFilteredColimit:
         # every cocone is determined by its leg at the maximum here
         for leg_top in enumerate_morphisms(top, target):
             legs = {
-                i: compose(leg_top, diagram.arrow(i, "m")) if i != "m" else leg_top
+                i: compose(leg_top, diagram.arrow("m", i)) if i != "m" else leg_top
                 for i in diagram.index.elements
             }
             factored = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import open_key, pair_label
+from .canon import open_key
 from .errors import (
     IncompatibleFamily,
     NotASheaf,
@@ -42,7 +42,17 @@ from .topology import (
     minimal_open,
     require_continuous as _require_continuous,
 )
-from .values import FINAB, ValueMorphism, ValueObject, compatible_families, compose, family_object
+from .values import (
+    FINAB,
+    ValueMorphism,
+    ValueObject,
+    compatible_families,
+    compose,
+    composite_table,
+    family_label,
+    family_object,
+    tupling,
+)
 
 
 # -- direct image -------------------------------------------------------------
@@ -146,44 +156,35 @@ def psi_morphism_from_family(
     """
     _require_continuous(psi)
     x_space, y_space = psi.source, psi.target
-
-    def check_square(u, v, u2, v2):
-        # (U2,V2) below (U,V): restrict after vs before
-        left = compose(f.restrict(u2, u), family[(u, v)])
-        right = compose(family[(u2, v2)], g.restrict(v2, v))
-        if left.map != right.map:
-            raise IncompatibleFamily(
-                f"square fails at ({open_key(u)!r},{open_key(v)!r}) ⊇ "
-                f"({open_key(u2)!r},{open_key(v2)!r})")
-
     if bases is None:
-        pairs = [(u, v) for u in x_space.sorted_opens() for v in y_space.sorted_opens()
-                 if psi.image(u) <= v]
-        for (u, v) in pairs:
-            if (u, v) not in family:
+        opens_x, opens_y, what = x_space.sorted_opens(), y_space.sorted_opens(), "pair"
+    else:
+        if not (is_sheaf(f) and is_sheaf(g)):
+            raise NotASheaf("the basis variant needs sheaves on both sides")
+        opens_x, opens_y = (b.sorted_members() for b in bases)
+        what = "basis pair"
+    pairs = [(u, v) for u in opens_x for v in opens_y if psi.image(u) <= v]
+    for (u, v) in pairs:
+        if (u, v) not in family:
+            raise IncompatibleFamily(
+                f"family misses {what} ({open_key(u)!r}, {open_key(v)!r})")
+        if family[(u, v)].source != g.sections[v] or family[(u, v)].target != f.sections[u]:
+            raise IncompatibleFamily(
+                f"family map at ({open_key(u)!r}, {open_key(v)!r}) connects wrong objects")
+    for (u, v) in pairs:
+        for (u2, v2) in pairs:
+            # (U2,V2) below (U,V): restrict after vs before
+            if u2 <= u and v2 <= v and (
+                    composite_table(f.restrict(u2, u), family[(u, v)])
+                    != composite_table(family[(u2, v2)], g.restrict(v2, v))):
                 raise IncompatibleFamily(
-                    f"family misses pair ({open_key(u)!r}, {open_key(v)!r})")
-        for (u, v) in pairs:
-            for (u2, v2) in pairs:
-                if u2 <= u and v2 <= v:
-                    check_square(u, v, u2, v2)
+                    f"square fails at ({open_key(u)!r},{open_key(v)!r}) ⊇ "
+                    f"({open_key(u2)!r},{open_key(v2)!r})")
+    if bases is None:
         components = {v: family[(psi.preimage(v), v)] for v in y_space.opens}
         body = PresheafMorphism(g, pushforward(psi, f), components)
         return PsiMorphism(psi, g, f, body)
 
-    basis_x, basis_y = bases
-    if not (is_sheaf(f) and is_sheaf(g)):
-        raise NotASheaf("the basis variant needs sheaves on both sides")
-    pairs = [(u, v) for u in basis_x.sorted_members() for v in basis_y.sorted_members()
-             if psi.image(u) <= v]
-    for pv in pairs:
-        if pv not in family:
-            raise IncompatibleFamily(
-                f"family misses basis pair ({open_key(pv[0])!r}, {open_key(pv[1])!r})")
-    for (u, v) in pairs:
-        for (u2, v2) in pairs:
-            if u2 <= u and v2 <= v:
-                check_square(u, v, u2, v2)
     pf = pushforward(psi, f)
     components = {}
     for w in y_space.sorted_opens():
@@ -228,10 +229,6 @@ class InverseImage:
 
     def as_psi_morphism(self) -> PsiMorphism:
         return PsiMorphism(self.psi, self.source, self.sheaf, self.unit)
-
-
-def _germ_family_label(fam: dict[str, str]) -> str:
-    return pair_label(fam.items())
 
 
 def pullback_section_valid_oracle(psi: ContinuousMap, g: Presheaf, u: PointSet,
@@ -293,36 +290,24 @@ def pullback(psi: ContinuousMap, g: Presheaf) -> InverseImage:
         families = {}
         for combo in compatible_families([stalk_objects[x].elements for x in pts], checks):
             fam = dict(zip(pts, combo))
-            families[_germ_family_label(fam)] = fam
+            families[family_label(fam)] = fam
         section_families[u] = families
         sections[u] = family_object(
             g.category, {x: stalk_objects[x] for x in pts}, families)
 
-    res = {}
-    for u in x_space.opens:
-        for v in x_space.opens:
-            if not u <= v:
-                continue
-            table = {}
-            for label, fam in section_families[v].items():
-                table[label] = _germ_family_label({x: fam[x] for x in u})
-            res[(u, v)] = ValueMorphism(sections[v], sections[u], table)
+    # germs[v][x]: each section over v to its germ at x
+    germs = {v: {x: {label: fam[x] for label, fam in families.items()} for x in v}
+             for v, families in section_families.items()}
+    res = {(u, v): tupling(sections[v], sections[u], {x: germs[v][x] for x in u})
+           for u, v in x_space.inclusion_pairs()}
     sheaf = Presheaf(x_space, g.category, sections, res)
 
     # unit: a section downstairs goes to its germ at ψ(x) for each x upstairs
     pf = pushforward(psi, sheaf)
-    unit_components = {}
-    for v in psi.target.opens:
-        pre = psi.preimage(v)
-        table = {}
-        for s in g.sections[v].elements:
-            fam = {
-                x: g.restrict(minimal_open(psi.target, psi(x)), v).map[s]
-                for x in pre
-            }
-            table[s] = _germ_family_label(fam)
-        unit_components[v] = ValueMorphism(g.sections[v], pf.sections[v], table)
-    unit = PresheafMorphism(g, pf, unit_components)
+    unit = PresheafMorphism(g, pf, {
+        v: tupling(g.sections[v], pf.sections[v],
+                   {x: g.restrict(germ_open[x], v).map for x in psi.preimage(v)})
+        for v in psi.target.opens})
     return InverseImage(psi, g, sheaf, unit, section_families)
 
 
@@ -524,17 +509,9 @@ def pullback_stalk_iso(psi: ContinuousMap, g: Presheaf, x: str,
     psi.source.require_point(x)
     inv = inv or pullback(psi, g)
     n = minimal_open(psi.target, psi(x))
-    m = minimal_open(psi.source, x)
-    source_obj = stalk(g, psi(x)).object
-    target_obj = stalk(inv.sheaf, x).object
-    table = {}
-    for s in source_obj.elements:
-        fam = {
-            z: g.restrict(minimal_open(psi.target, psi(z)), n).map[s]
-            for z in m
-        }
-        table[s] = _germ_family_label(fam)
-    out = ValueMorphism(source_obj, target_obj, table)
+    out = tupling(stalk(g, psi(x)).object, stalk(inv.sheaf, x).object, {
+        z: g.restrict(minimal_open(psi.target, psi(z)), n).map
+        for z in minimal_open(psi.source, x)})
     if not out.is_bijective():
         raise NotInverseImagePair(f"fiber identification at {x!r} is not bijective")
     return out

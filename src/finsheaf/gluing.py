@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .canon import open_key, pair_label
+from .canon import open_key
 from .errors import CocycleViolation, IncompatibleFamily, NotAGluing, NotAnOpen
 from .presheaf import (
     BasisExtension,
@@ -28,7 +28,7 @@ from .presheaf import (
     restrict_to_open,
 )
 from .topology import Basis, FiniteSpace, PointSet, subspace
-from .values import ValueMorphism, compose, identity
+from .values import composite_table, compose, identity, tupling
 
 
 @dataclass
@@ -224,19 +224,12 @@ def glued_uniqueness(d: GluingDatum, candidate: GluedSheaf,
         raise NotAGluing("candidate does not satisfy the gluing invariant")
     result = result or glue(d)
     g = candidate.sheaf
-    phi_comp = {}
-    for u in d.space.sorted_opens():
-        table = {}
-        members = result.basis.members_within(u)
-        for s in g.sections[u].elements:
-            fam = {}
-            for v in members:
-                phi_v = candidate.isos[result.tau[v]].components[v]
-                fam[open_key(v)] = phi_v.map[g.restrict(v, u).map[s]]
-            table[s] = pair_label(fam.items())
-        phi_comp[u] = ValueMorphism(
-            g.sections[u], result.sheaf.sections[u], table)
-    phi = PresheafMorphism(g, result.sheaf, phi_comp)
+    phi = PresheafMorphism(g, result.sheaf, {
+        u: tupling(g.sections[u], result.sheaf.sections[u], {
+            open_key(v): composite_table(candidate.isos[result.tau[v]].components[v],
+                                         g.restrict(v, u))
+            for v in result.basis.members_within(u)})
+        for u in d.space.sorted_opens()})
     if not phi.is_isomorphism():
         raise NotAGluing("comparison with the glued sheaf is not bijective")
     for lam in d.indices():
@@ -277,23 +270,18 @@ def glue_morphisms(d: GluingDatum, e: GluingDatum,
                     f"square fails on overlap of ({lam!r}, {mu!r})")
     dr = d_result or glue(d)
     er = e_result or glue(e)
-    comp = {}
-    for u in d.space.sorted_opens():
-        table = {}
-        members = dr.basis.members_within(u)
-        for s in dr.sheaf.sections[u].elements:
-            fam = {}
-            for v in members:
-                lam = dr.tau[v]
-                restricted = dr.sheaf.restrict(v, u).map[s]
-                in_part = dr.extension.can(v).map[restricted]
-                mapped = family[lam].components[v].map[in_part]
-                # transport into the part e's choice picked for v
-                moved = e.cocycle[(er.tau[v], lam)].components[v].map[mapped]
-                fam[open_key(v)] = moved
-            table[s] = pair_label(fam.items())
-        comp[u] = ValueMorphism(
-            dr.sheaf.sections[u], er.sheaf.sections[u], table)
+    # at a basis open v: into the part d's choice picked, through u_λ, and
+    # on into the part e's choice picked
+    to_e = {}
+    for v in dr.basis.sorted_members():
+        lam = dr.tau[v]
+        to_e[v] = compose(e.cocycle[(er.tau[v], lam)].components[v],
+                          compose(family[lam].components[v], dr.extension.can(v)))
+    comp = {
+        u: tupling(dr.sheaf.sections[u], er.sheaf.sections[u], {
+            open_key(v): composite_table(to_e[v], dr.sheaf.restrict(v, u))
+            for v in dr.basis.members_within(u)})
+        for u in d.space.sorted_opens()}
     return PresheafMorphism(dr.sheaf, er.sheaf, comp)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .canon import mapping_label, open_key, open_of_key, pair_label
+from .canon import mapping_label, open_key, open_of_key
 from .errors import (
     CapExceeded,
     IncompatibleFamily,
@@ -41,12 +41,14 @@ from .values import (
     ValueObject,
     compatible_families,
     compose,
+    composite_table,
     cyclic_group,
     enumerate_morphisms,
     finset,
     identity,
     limit,
     singleton,
+    tupling,
 )
 
 
@@ -152,9 +154,8 @@ class PresheafMorphism:
             if c.source != self.source.sections[u] or c.target != self.target.sections[u]:
                 raise ValueMismatch(f"component at {open_key(u)!r} connects wrong objects")
         for u, v in self.source.inclusion_pairs():
-            left = compose(self.components[u], self.source.restrict(u, v))
-            right = compose(self.target.restrict(u, v), self.components[v])
-            if left.map != right.map:
+            if (composite_table(self.components[u], self.source.restrict(u, v))
+                    != composite_table(self.target.restrict(u, v), self.components[v])):
                 raise ValueMismatch(
                     f"component square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
 
@@ -171,8 +172,8 @@ class PresheafMorphism:
 
     def label(self) -> str:
         """Canonical label used to key Hom-set tables."""
-        return pair_label(
-            (open_key(u), mapping_label(c.map)) for u, c in self.components.items())
+        return mapping_label(
+            {open_key(u): mapping_label(c.map) for u, c in self.components.items()})
 
 
 def identity_morphism(p: Presheaf) -> PresheafMorphism:
@@ -212,9 +213,7 @@ def _functorial(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> bool:
             for w in opens:
                 if not v <= w:
                     continue
-                direct = p.restrict(u, w)
-                via = compose(p.restrict(u, v), p.restrict(v, w))
-                if direct.map != via.map:
+                if p.restrict(u, w).map != composite_table(p.restrict(u, v), p.restrict(v, w)):
                     return False
     return True
 
@@ -485,23 +484,13 @@ def extend_from_basis(bp: BasisPresheaf) -> BasisExtension:
     if not bp.validate():
         raise ValueMismatch("basis presheaf fails functoriality")
     space = bp.basis.space
-    limits: dict[PointSet, LimitResult] = {}
-    diagrams: dict[PointSet, Diagram] = {}
-    for u in space.opens:
-        diagrams[u] = _basis_diagram(bp, u)
-        limits[u] = limit(diagrams[u])
+    limits = {u: limit(_basis_diagram(bp, u)) for u in space.opens}
     sections = {u: limits[u].object for u in space.opens}
-    res: dict[tuple[PointSet, PointSet], ValueMorphism] = {}
-    for u in space.opens:
-        for v in space.opens:
-            if not u <= v:
-                continue
-            # restriction = mediating morphism of the subfamily cone
-            table = {}
-            for label, fam in limits[v].families.items():
-                sub = {i: fam[i] for i in diagrams[u].index.elements}
-                table[label] = pair_label(sub.items())
-            res[(u, v)] = ValueMorphism(sections[v], sections[u], table)
+    res = {
+        (u, v): tupling(sections[v], sections[u],
+                        {i: limits[v].projections[i].map for i in limits[u].projections})
+        for u, v in space.inclusion_pairs()
+    }
     return BasisExtension(Presheaf(space, bp.category, sections, res), bp, limits)
 
 
@@ -516,26 +505,21 @@ def extend_morphism_from_basis(
     unique morphism agreeing with it under the canonical identifications.
     """
     bs, bt = source.source, target.source
-    members = bs.basis.sorted_members()
-    for b in members:
+    for b in bs.basis.sorted_members():
         if b not in components:
             raise IncompatibleFamily(f"family misses basis open {open_key(b)!r}")
-    for u in members:
-        for v in members:
-            if u <= v:
-                left = compose(components[u], bs.restrict(u, v))
-                right = compose(bt.restrict(u, v), components[v])
-                if left.map != right.map:
-                    raise IncompatibleFamily(
-                        f"family square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
-    space = bs.basis.space
+        if components[b].source != bs.sections[b] or components[b].target != bt.sections[b]:
+            raise IncompatibleFamily(f"family map at {open_key(b)!r} connects wrong objects")
+    for u, v in bs.basis_pairs():
+        if (composite_table(components[u], bs.restrict(u, v))
+                != composite_table(bt.restrict(u, v), components[v])):
+            raise IncompatibleFamily(
+                f"family square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
     out = {}
-    for w in space.opens:
-        table = {}
-        for label, fam in source.limits[w].families.items():
-            image = {i: components[open_of_key(i)].map[fam[i]] for i in fam}
-            table[label] = pair_label(image.items())
-        out[w] = ValueMorphism(source.presheaf.sections[w], target.presheaf.sections[w], table)
+    for w, lim in source.limits.items():
+        legs = {i: composite_table(components[open_of_key(i)], proj)
+                for i, proj in lim.projections.items()}
+        out[w] = tupling(lim.object, target.presheaf.sections[w], legs)
     return PresheafMorphism(source.presheaf, target.presheaf, out)
 
 
@@ -561,34 +545,22 @@ def morphism_determined_by_basis(
 def basis_round_trip(p: Presheaf, basis: Basis) -> tuple[BasisExtension, PresheafMorphism, PresheafMorphism]:
     """Restrict a sheaf to a basis, extend back, and return (ext, θ, ψ).
 
-    θ sends a section to its family of basis restrictions; ψ glues a
-    compatible family back to the unique section restricting to it.  Both
-    composites are identities when ``p`` is a sheaf.
+    θ sends a section to its family of basis restrictions; ψ = θ⁻¹ glues a
+    compatible family back to the unique section restricting to it.  θ is
+    bijective when ``p`` is a sheaf; where it is not, this raises NotASheaf.
     """
-    bp = restrict_to_basis(p, basis)
-    ext = extend_from_basis(bp)
-    theta_comp, psi_comp = {}, {}
+    ext = extend_from_basis(restrict_to_basis(p, basis))
+    theta_comp = {}
     for u in p.space.opens:
-        members = basis.members_within(u)
-        theta_table = {}
-        for s in p.sections[u].elements:
-            fam = {open_key(v): p.restrict(v, u).map[s] for v in members}
-            theta_table[s] = pair_label(fam.items())
-        theta_comp[u] = ValueMorphism(p.sections[u], ext.presheaf.sections[u], theta_table)
-        psi_table = {}
-        for label, fam in ext.limits[u].families.items():
-            matches = [
-                s for s in p.sections[u].elements
-                if all(p.restrict(v, u).map[s] == fam[open_key(v)] for v in members)
-            ]
-            if len(matches) != 1:
-                raise NotASheaf(
-                    f"family over {open_key(u)!r} glues to {len(matches)} sections")
-            psi_table[label] = matches[0]
-        psi_comp[u] = ValueMorphism(ext.presheaf.sections[u], p.sections[u], psi_table)
+        theta_comp[u] = t = tupling(
+            p.sections[u], ext.presheaf.sections[u],
+            {open_key(v): p.restrict(v, u).map for v in basis.members_within(u)})
+        if not t.is_bijective():
+            raise NotASheaf(
+                f"over {open_key(u)!r}, {len(t.source)} sections restrict onto "
+                f"{len(set(t.map.values()))} of {len(t.target)} compatible families")
     theta = PresheafMorphism(p, ext.presheaf, theta_comp)
-    psi = PresheafMorphism(ext.presheaf, p, psi_comp)
-    return ext, theta, psi
+    return ext, theta, theta.inverse()
 
 
 def nested_basis_comparison(
@@ -596,9 +568,9 @@ def nested_basis_comparison(
 ) -> tuple[BasisExtension, BasisExtension, PresheafMorphism, PresheafMorphism]:
     """Extensions along a basis and a sub-basis of it, with the ζ/ξ pair.
 
-    ζ drops a compatible family to the sub-basis; ξ rebuilds the dropped
-    components by gluing over sub-basis coverings, which needs the basis
-    data to satisfy the gluing condition.
+    ζ drops a compatible family to the sub-basis; ξ = ζ⁻¹ rebuilds the
+    dropped components.  ζ is bijective because the basis data must pass
+    ``check_F0`` and the sub-basis holds every minimal open.
     """
     if not subbasis.members <= bp.basis.members:
         raise ValueMismatch("second basis is not contained in the first")
@@ -611,37 +583,17 @@ def nested_basis_comparison(
          for u in subbasis.members for v in subbasis.members if u <= v})
     big = extend_from_basis(bp)
     small = extend_from_basis(sub_bp)
-    space = bp.basis.space
-    zeta_comp, xi_comp = {}, {}
-    for w in space.opens:
-        sub_members = subbasis.members_within(w)
-        zeta_table = {}
-        for label, fam in big.limits[w].families.items():
-            sub = {open_key(v): fam[open_key(v)] for v in sub_members}
-            zeta_table[label] = pair_label(sub.items())
-        zeta_comp[w] = ValueMorphism(
-            big.presheaf.sections[w], small.presheaf.sections[w], zeta_table)
-        xi_table = {}
-        big_members = bp.basis.members_within(w)
-        for label, fam in small.limits[w].families.items():
-            rebuilt = {}
-            for v in big_members:
-                candidates = [
-                    s for s in bp.sections[v].elements
-                    if all(bp.restrict(x, v).map[s] == fam[open_key(x)]
-                           for x in subbasis.members_within(v))
-                ]
-                if len(candidates) != 1:
-                    raise ValueMismatch(
-                        f"sub-basis family over {open_key(w)!r} lifts to "
-                        f"{len(candidates)} sections at {open_key(v)!r}")
-                rebuilt[open_key(v)] = candidates[0]
-            xi_table[label] = pair_label(rebuilt.items())
-        xi_comp[w] = ValueMorphism(
-            small.presheaf.sections[w], big.presheaf.sections[w], xi_table)
+    zeta_comp = {}
+    for w, lim in big.limits.items():
+        zeta_comp[w] = z = tupling(
+            lim.object, small.presheaf.sections[w],
+            {i: lim.projections[i].map for i in small.limits[w].projections})
+        if not z.is_bijective():
+            raise ValueMismatch(
+                f"over {open_key(w)!r}, {len(z.source)} basis families drop onto "
+                f"{len(set(z.map.values()))} of {len(z.target)} sub-basis families")
     zeta = PresheafMorphism(big.presheaf, small.presheaf, zeta_comp)
-    xi = PresheafMorphism(small.presheaf, big.presheaf, xi_comp)
-    return big, small, zeta, xi
+    return big, small, zeta, zeta.inverse()
 
 
 # -- projective limits of sheaves --------------------------------------------
@@ -704,17 +656,12 @@ def limit_of_sheaves(d: SheafDiagram) -> SheafLimit:
     category = next(iter(d.sheaves.values())).category
     limits = {u: limit(d.diagrams[u]) for u in space.opens}
     sections = {u: limits[u].object for u in space.opens}
-    res = {}
-    for u in space.opens:
-        for v in space.opens:
-            if not u <= v:
-                continue
-            table = {}
-            for label, fam in limits[v].families.items():
-                image = {i: d.sheaves[i].restrict(u, v).map[fam[i]]
-                         for i in d.index.elements}
-                table[label] = pair_label(image.items())
-            res[(u, v)] = ValueMorphism(sections[v], sections[u], table)
+    res = {
+        (u, v): tupling(sections[v], sections[u], {
+            i: composite_table(d.sheaves[i].restrict(u, v), limits[v].projections[i])
+            for i in d.index.elements})
+        for u, v in space.inclusion_pairs()
+    }
     out = Presheaf(space, category, sections, res)
     projections = {
         i: PresheafMorphism(
@@ -734,13 +681,11 @@ def mediating_sheaf_morphism(lim: SheafLimit, cone: Mapping[str, PresheafMorphis
     for (i, j) in d.index.pairs_below():
         if not morphisms_equal(compose_morphisms(d.arrows[(i, j)], cone[j]), cone[i]):
             raise IncompatibleFamily(f"cone does not commute over ({i!r}, {j!r})")
-    comp = {}
-    for u in tip.space.opens:
-        table = {}
-        for t in tip.sections[u].elements:
-            fam = {i: cone[i].components[u].map[t] for i in d.index.elements}
-            table[t] = pair_label(fam.items())
-        comp[u] = ValueMorphism(tip.sections[u], lim.presheaf.sections[u], table)
+    comp = {
+        u: tupling(tip.sections[u], lim.presheaf.sections[u],
+                   {i: cone[i].components[u].map for i in d.index.elements})
+        for u in tip.space.opens
+    }
     return PresheafMorphism(tip, lim.presheaf, comp)
 
 
@@ -776,16 +721,13 @@ def enumerate_presheaf_morphisms(p: Presheaf, q: Presheaf,
                     small = chosen.get(v, cand if v == u else None)
                     if small is None:
                         continue
-                    left = compose(small, p.restrict(v, u))
-                    right = compose(q.restrict(v, u), cand)
-                    if left.map != right.map:
+                    if (composite_table(small, p.restrict(v, u))
+                            != composite_table(q.restrict(v, u), cand)):
                         ok = False
                         break
                 elif u <= v:
-                    big = chosen[v]
-                    left = compose(cand, p.restrict(u, v))
-                    right = compose(q.restrict(u, v), big)
-                    if left.map != right.map:
+                    if (composite_table(cand, p.restrict(u, v))
+                            != composite_table(q.restrict(u, v), chosen[v])):
                         ok = False
                         break
             if ok:

@@ -4,6 +4,9 @@ FinAb objects carry explicit addition tables rather than invariant-factor
 decompositions: the axioms are checked by full table scan, which is cheap
 at the scale everything here runs at.  Every canonical construction
 (limit tuples, colimit classes) produces deterministic composite labels.
+A limit's elements are labeled families {index: element}.  ``family_label``
+and ``tupling`` are the only builders of family labels; a map into a
+family object is built as the ``tupling`` of its legs.
 
 A ``Diagram`` is a presheaf on a finite poset: its arrows run from larger
 to smaller index, like restrictions, for limits and colimits alike.
@@ -180,8 +183,12 @@ def compose(outer: ValueMorphism, inner: ValueMorphism) -> ValueMorphism:
     """``outer ∘ inner``; target of ``inner`` must be source of ``outer``."""
     if inner.target != outer.source:
         raise ValueError("morphisms do not compose")
-    return ValueMorphism(inner.source, outer.target,
-                         {a: outer.map[inner.map[a]] for a in inner.source.elements})
+    return ValueMorphism(inner.source, outer.target, composite_table(outer, inner))
+
+
+def composite_table(outer: ValueMorphism, inner: ValueMorphism) -> dict[str, str]:
+    """The table of ``outer ∘ inner``, unchecked: for comparing squares."""
+    return {a: outer.map[inner.map[a]] for a in inner.source.elements}
 
 
 @dataclass(frozen=True)
@@ -274,8 +281,7 @@ class Diagram:
         for (i, j) in self.index.pairs_below():
             for k in self.index.elements:
                 if k != i and k != j and self.index.leq(i, k) and self.index.leq(k, j):
-                    ik, kj = self.arrows[(i, k)].map, self.arrows[(k, j)].map
-                    via = {a: ik[kj[a]] for a in self.objects[j].elements}
+                    via = composite_table(self.arrows[(i, k)], self.arrows[(k, j)])
                     if via != self.arrows[(i, j)].map:
                         raise MalformedDiagram(
                             f"composite through {k!r} disagrees on ({i!r}, {j!r})")
@@ -295,12 +301,17 @@ class LimitResult:
     families: dict[str, dict[str, str]]
 
 
+def family_label(fam: Mapping[str, str]) -> str:
+    """The label of the family ``{index: element}``."""
+    return pair_label(fam.items())
+
+
 def family_object(category: str, objects: Mapping[str, ValueObject],
                   families: Mapping[str, Mapping[str, str]]) -> ValueObject:
     """The object whose elements are the labeled families over ``objects``.
 
     In FinAb the group structure is componentwise; sums and the zero are
-    labeled by ``pair_label`` like the families themselves.
+    labeled like the families themselves.
     """
     labels = tuple(sorted(families))
     if category != FINAB:
@@ -308,9 +319,20 @@ def family_object(category: str, objects: Mapping[str, ValueObject],
     add = {}
     for la, lb in product(labels, repeat=2):
         fa, fb = families[la], families[lb]
-        add[(la, lb)] = pair_label((i, o.add[(fa[i], fb[i])]) for i, o in objects.items())
-    zero = pair_label((i, o.zero) for i, o in objects.items())
+        add[(la, lb)] = family_label({i: o.add[(fa[i], fb[i])] for i, o in objects.items()})
+    zero = family_label({i: o.zero for i, o in objects.items()})
     return ValueObject(FINAB, labels, add=add, zero=zero)
+
+
+def tupling(source: ValueObject, target: ValueObject,
+            legs: Mapping[str, Mapping[str, str]]) -> ValueMorphism:
+    """⟨f_i⟩: the map s ↦ (i ↦ legs[i][s]) into the family object ``target``.
+
+    ``legs`` holds one plain table per index of the families in ``target``.
+    A family outside ``target`` fails the ``ValueMorphism`` check.
+    """
+    return ValueMorphism(source, target, {
+        s: family_label({i: leg[s] for i, leg in legs.items()}) for s in source.elements})
 
 
 Check = tuple[int, int, Mapping[str, str], Mapping[str, str]]
@@ -345,7 +367,7 @@ def limit(diagram: Diagram) -> LimitResult:
     families: dict[str, dict[str, str]] = {}
     for combo in compatible_families([diagram.objects[i].elements for i in idx], checks):
         fam = dict(zip(idx, combo))
-        families[pair_label(fam.items())] = fam
+        families[family_label(fam)] = fam
     obj = family_object(diagram.category, {i: diagram.objects[i] for i in idx}, families)
     projections = {
         i: ValueMorphism(obj, diagram.objects[i], {l: families[l][i] for l in obj.elements})
@@ -371,17 +393,16 @@ def mediating_morphism(cone: Mapping[str, ValueMorphism], lim: LimitResult,
         tip = tips[0]
     elif tip is None:
         raise IncompatibleCone("empty-diagram cones need an explicit tip object")
+    for i in idx:
+        if cone[i].target != diagram.objects[i]:
+            raise IncompatibleCone(f"cone leg at {i!r} ends outside the diagram")
     for (i, j) in diagram.index.pairs_below():
-        if compose(diagram.arrow(i, j), cone[j]).map != cone[i].map:
+        if composite_table(diagram.arrow(i, j), cone[j]) != cone[i].map:
             raise IncompatibleCone(f"cone does not commute over ({i!r}, {j!r})")
-    table = {}
-    for t in tip.elements:
-        fam = {i: cone[i].map[t] for i in idx}
-        label = pair_label(fam.items())
-        if label not in lim.families:
-            raise IncompatibleCone(f"cone lands outside the limit at {t!r}")
-        table[t] = label
-    return ValueMorphism(tip, lim.object, table)
+    try:
+        return tupling(tip, lim.object, {i: cone[i].map for i in idx})
+    except ValueError as exc:
+        raise IncompatibleCone(f"cone lands outside the limit: {exc}") from exc
 
 
 @dataclass

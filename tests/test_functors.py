@@ -251,6 +251,19 @@ class TestPsiMorphismFromFamily:
         with pytest.raises(IncompatibleFamily):
             psi_morphism_from_family(psi, g, f, fam)
 
+    def test_family_map_between_wrong_objects(self, disc2, pt):
+        psi = fx.disc2_to_pt()
+        g = constant_presheaf(pt, finset(["g0", "g1"]))
+        f = fx.locally_constant_sheaf(disc2, finset(["0", "1"]))
+        u = PsiMorphism(psi, g, f, enumerate_presheaf_morphisms(
+            g, pushforward(psi, f))[1])
+        fam = family_of_psi_morphism(u)
+        one = frozenset({"1"})
+        fam[(one, PT_WHOLE)] = ValueMorphism(
+            finset(["x"]), f.sections[one], {"x": f.sections[one].elements[0]})
+        with pytest.raises(IncompatibleFamily):
+            psi_morphism_from_family(psi, g, f, fam)
+
 
 class TestPullback:
     def test_identity_on_sheaf_has_iso_unit(self, sierp_sheaf, sierp):

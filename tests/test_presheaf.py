@@ -8,6 +8,7 @@ from finsheaf.errors import (
     IncompatibleFamily,
     MalformedDiagram,
     MixedCategories,
+    NotASheaf,
     NotIrreducible,
     ValueMismatch,
 )
@@ -361,6 +362,39 @@ class TestNestedBases:
                                identity_morphism(small.presheaf))
 
 
+def assert_mutually_inverse(there, back):
+    assert morphisms_equal(compose_morphisms(back, there), identity_morphism(there.source))
+    assert morphisms_equal(compose_morphisms(there, back), identity_morphism(there.target))
+
+
+class TestRoundTrips:
+    def test_round_trip_refuses_a_non_sheaf(self, disc2):
+        # the constant presheaf has 2 global sections against 4 families
+        p = constant_presheaf(disc2, finset(["a", "b"]))
+        basis = Basis(disc2, frozenset({D_ONE, D_TWO}))
+        with pytest.raises(NotASheaf):
+            basis_round_trip(p, basis)
+
+    def test_every_small_sheaf_on_three_points(self):
+        """ψ = θ⁻¹ on the minimal-open and the all-opens basis, and ξ = ζ⁻¹
+        between them, for every sheaf with stalks of size <= 2 on every
+        3-point topology."""
+        total = 0
+        for sp in enumerate_topologies(["1", "2", "3"]):
+            minimal = Basis(sp, frozenset(minimal_open(sp, x) for x in sp.points))
+            every = Basis(sp, frozenset(sp.opens))
+            for bp in enumerate_basis_presheaves(minimal):
+                sheaf = extend_from_basis(bp).presheaf
+                for basis in (minimal, every):
+                    _, theta, psi = basis_round_trip(sheaf, basis)
+                    assert_mutually_inverse(theta, psi)
+                _, _, zeta, xi = nested_basis_comparison(
+                    restrict_to_basis(sheaf, every), minimal)
+                assert_mutually_inverse(zeta, xi)
+                total += 1
+        assert total == 909
+
+
 class TestExtendMorphism:
     def test_identity_family(self, disc2):
         bp = disc2_basis_presheaf(disc2)
@@ -418,6 +452,14 @@ class TestExtendMorphism:
         assert morphisms_equal(m, identity_morphism(ext.presheaf))
         m2 = extend_morphism_from_basis(bad, ext, ext)  # still commutes here
         assert not morphisms_equal(m2, identity_morphism(ext.presheaf))
+
+    def test_family_map_between_wrong_objects(self, disc2):
+        bp = disc2_basis_presheaf(disc2)
+        ext = extend_from_basis(bp)
+        fam = {b: identity(bp.sections[b]) for b in bp.basis.members}
+        fam[D_ONE] = identity(finset(["s", "x"]))
+        with pytest.raises(IncompatibleFamily):
+            extend_morphism_from_basis(fam, ext, ext)
 
     def test_family_square_violation_raises(self, disc2):
         # give {1} ⊆ {1,2}? not basis pair; build chain basis on SIERP instead

@@ -18,12 +18,14 @@ from finsheaf.values import (
     compose,
     cyclic_group,
     enumerate_morphisms,
+    family_label,
     filtered_colimit,
     finset,
     identity,
     limit,
     mediating_morphism,
     singleton,
+    tupling,
     zero_group,
 )
 
@@ -161,6 +163,39 @@ class TestLimit:
                     for i in ("a", "b")
                 ):
                     assert m1.map == m2.map
+
+    def test_limit_labels_are_family_labels(self):
+        lim = limit(chain_diagram())
+        assert all(family_label(fam) == label for label, fam in lim.families.items())
+        assert family_label({"b": "b|2", "a": "a=1"}) == "a=a\\=1|b=b\\|2"
+
+    def test_tupling_of_projections_is_identity(self):
+        lim = limit(chain_diagram())
+        legs = {i: p.map for i, p in lim.projections.items()}
+        assert tupling(lim.object, lim.object, legs).map == identity(lim.object).map
+
+    def test_cone_leg_outside_the_diagram_rejected(self):
+        diagram = chain_diagram()
+        tip = finset(["t"])
+        cone = {
+            "a": ValueMorphism(tip, finset(["a1"]), {"t": "a1"}),
+            "b": ValueMorphism(tip, diagram.objects["b"], {"t": "b1"}),
+        }
+        with pytest.raises(IncompatibleCone):
+            mediating_morphism(cone, limit(diagram), diagram)
+
+    def test_cone_landing_outside_the_limit_rejected(self):
+        # the cone commutes over the chain, but lim is the limit of a
+        # diagram with the other arrow, where (a1, b3) is not a family
+        diagram = chain_diagram()
+        a_obj, b_obj = diagram.objects["a"], diagram.objects["b"]
+        other = Diagram(diagram.index, diagram.objects, {("a", "b"): ValueMorphism(
+            b_obj, a_obj, {"b1": "a1", "b2": "a1", "b3": "a1"})})
+        tip = finset(["t"])
+        cone = {"a": ValueMorphism(tip, a_obj, {"t": "a2"}),
+                "b": ValueMorphism(tip, b_obj, {"t": "b3"})}
+        with pytest.raises(IncompatibleCone):
+            mediating_morphism(cone, limit(other), diagram)
 
 
 def filtered_three(max_obj):

@@ -1,0 +1,101 @@
+"""Compare the CLI reports of two source trees on every ladder rung.
+
+    python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE [--seed N]
+
+The inputs are the benchmark ladder's rungs for the seed (default 1),
+generated once by ``bench/``'s rung generator next to this script, which
+is only read.  Every rung runs on each tree as ``python -m finsheaf`` in a
+process of its own, with that tree's ``src/`` on ``PYTHONPATH``.  A tree
+solves a rung when it finishes within TIMEOUT_S with the exit code the
+ladder expects and passes the ladder's output check; as in the ladder,
+once a tree fails a rung, the larger rungs of that ladder are not
+attempted on it.
+
+On every rung both trees solve, the exit code, stdout, stderr and the
+``--out`` file must be byte-identical.  Rungs that only one tree solves
+are listed.  Exit 1 on any difference of either kind, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
+sys.path.insert(0, BENCH_DIR)
+sys.dont_write_bytecode = True  # leave bench/ as it is
+
+from workloads import Ladder  # noqa: E402
+
+TIMEOUT_S = 10.0
+
+
+def run(tree: str, rung, work: str) -> tuple[bool, tuple]:
+    """(solved, (exit code, stdout, stderr, --out bytes)) of one rung."""
+    if rung.out and os.path.exists(rung.out):
+        os.remove(rung.out)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    try:
+        res = subprocess.run([sys.executable, "-m", "finsheaf", *rung.argv], cwd=work,
+                             env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, ()
+    out = None
+    if rung.out and os.path.exists(rung.out):
+        with open(rung.out, "rb") as fh:
+            out = fh.read()
+    report = (res.returncode, res.stdout, res.stderr, out)
+    if res.returncode != rung.code:
+        return False, report
+    try:
+        payload = json.loads(res.stdout)["payload"]
+        problem = rung.check(payload, json.loads(out) if rung.out else None)
+    except (ValueError, KeyError, TypeError):
+        return False, report
+    return problem is None, report
+
+
+def compare(trees: tuple[str, str], seed: int) -> int:
+    names = ("exit code", "stdout", "stderr", "--out file")
+    ladder = Ladder(budget_s=TIMEOUT_S)
+    only: tuple[list[str], list[str]] = ([], [])
+    same = differ = 0
+    with tempfile.TemporaryDirectory() as work:
+        ladder.setup(None, seed, BENCH_DIR, work)
+        for _, rungs in ladder.ladders:
+            solved = [True, True]
+            for rung in rungs:
+                runs = [run(tree, rung, work) if solved[k] else (False, ())
+                        for k, tree in enumerate(trees)]
+                solved = [ok for ok, _ in runs]
+                if all(solved):
+                    diffs = [n for n, a, b in zip(names, runs[0][1], runs[1][1]) if a != b]
+                    if diffs:
+                        differ += 1
+                        print(f"DIFFER {rung.id}: {', '.join(diffs)}")
+                    else:
+                        same += 1
+                elif any(solved):
+                    only[solved[1]].append(rung.id)
+    for tree, ids in zip(trees, only):
+        print(f"only {tree} solves {len(ids)} rungs: {' '.join(ids) or '-'}")
+    print(f"seed {seed}: {same + differ} rungs solved by both, "
+          f"{same} identical, {differ} different")
+    return 1 if differ or only[0] or only[1] else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    return compare((args.parent, args.change), args.seed)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,7 +12,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from finsheaf import fixtures as fx
 from finsheaf import serialize as ser
-from finsheaf.canon import pair_label
 from finsheaf.gluing import GluingDatum
 from finsheaf.presheaf import (
     BasisPresheaf,
@@ -21,7 +20,7 @@ from finsheaf.presheaf import (
     restrict_to_open,
 )
 from finsheaf.topology import Basis, identity_map, subspace
-from finsheaf.values import Poset, ValueMorphism, finset
+from finsheaf.values import Poset, ValueMorphism, family_label, finset
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -39,7 +38,7 @@ def swap_on_b(u, label):
         pt: (("1" if vv == "0" else "0") if pt == "b" else vv)
         for pt, vv in parts.items()
     }
-    return pair_label(flipped.items())
+    return family_label(flipped)
 
 
 def pc4_gluing(twisted: bool) -> GluingDatum:

@@ -59,6 +59,7 @@ from .presheaf import (
     check_sheaf_by_representables,
     check_simple_equivalence,
     compose_morphisms,
+    composites_agree,
     constant_presheaf,
     enumerate_presheaf_morphisms,
     extend_from_basis,

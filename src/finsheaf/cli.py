@@ -10,14 +10,15 @@ appears in text output so JSON reports stay byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
 
 from .canon import canonical_json, open_key
-from .errors import FinsheafError, ParseError
+from .errors import CocycleViolation, FinsheafError, ParseError
 from . import serialize as ser
-from .gluing import check_cocycle, check_glued_invariant, glue
+from .gluing import check_glued_invariant, glue
 from .presheaf import (
     BasisPresheaf,
     Presheaf,
@@ -184,10 +185,10 @@ def cmd_adjunction_test(args) -> tuple[dict, bool]:
 def cmd_glue(args) -> tuple[dict, bool]:
     datum = ser.gluing_from_payload(ser.load_json(args.gluing),
                                     os.path.dirname(args.gluing) or ".")
-    cocycle_report = check_cocycle(datum)
-    if not cocycle_report.verdict:
-        return {"cocycle_violations": cocycle_report.violations}, False
-    result = glue(datum)
+    try:
+        result = glue(datum)
+    except CocycleViolation as exc:
+        return {"cocycle_violations": exc.violations}, False
     if args.out:
         ser.dump_json(args.out, ser.presheaf_to_payload(result.sheaf))
     payload = {
@@ -240,13 +241,14 @@ def _render_text(report: dict, elapsed: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; callers share it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--out", help="write the constructed artifact here")
     common.add_argument(
-        "--max-homs", type=int,
-        default=int(os.environ.get("FINSHEAF_MAX_HOMS", str(10 ** 6))),
+        "--max-homs", type=int, default=10 ** 6,
         help="hard cap on Hom-set enumeration (error, never truncate)")
     parser = argparse.ArgumentParser(
         prog="finsheaf",
@@ -281,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         payload, verdict = args.fn(args)

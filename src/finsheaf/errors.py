@@ -79,7 +79,9 @@ class NotInverseImagePair(FinsheafError):
 # -- gluing ----------------------------------------------------------------
 
 class CocycleViolation(FinsheafError):
-    pass
+    def __init__(self, violations: list[dict]):
+        super().__init__(f"{len(violations)} cocycle violations")
+        self.violations = violations
 
 
 class NotAGluing(FinsheafError):

@@ -26,10 +26,10 @@ from .presheaf import (
     Presheaf,
     PresheafMorphism,
     compose_morphisms,
+    composites_agree,
     enumerate_presheaf_morphisms,
     identity_morphism,
     is_sheaf,
-    morphisms_equal,
     restrict_to_open,
     validate_presheaf,
 )
@@ -452,8 +452,8 @@ def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
         _require_sheaf(w.target)
         for nu in upstairs:
             left = flat(compose_morphisms(w, nu), inv).body
-            right = compose_morphisms(pushforward_morphism(psi, w), flat(nu, inv).body)
-            if not morphisms_equal(left, right):
+            right = [pushforward_morphism(psi, w), flat(nu, inv).body]
+            if not composites_agree([left], right, left.source.space.opens):
                 verdict = False
                 break
     return AdjunctionWitness(forward, backward, len(upstairs), len(downstairs), verdict,
@@ -469,11 +469,12 @@ def canonical_comparison(first: InverseImage, second: InverseImage) -> PresheafM
         raise NotInverseImagePair("pairs pull back along different maps")
     zeta = sharp(second.as_psi_morphism(), first)
     xi = sharp(first.as_psi_morphism(), second)
-    if not (morphisms_equal(compose_morphisms(xi, zeta), identity_morphism(first.sheaf))
-            and morphisms_equal(compose_morphisms(zeta, xi), identity_morphism(second.sheaf))):
+    x_opens = first.sheaf.space.opens
+    if not (composites_agree([xi, zeta], [identity_morphism(first.sheaf)], x_opens)
+            and composites_agree([zeta, xi], [identity_morphism(second.sheaf)], x_opens)):
         raise NotInverseImagePair("comparison morphisms are not mutually inverse")
-    expected = compose_morphisms(pushforward_morphism(first.psi, zeta), first.unit)
-    if not morphisms_equal(expected, second.unit):
+    if not composites_agree([pushforward_morphism(first.psi, zeta), first.unit],
+                            [second.unit], first.unit.source.space.opens):
         raise NotInverseImagePair("comparison does not intertwine the units")
     return zeta
 

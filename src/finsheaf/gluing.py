@@ -5,6 +5,11 @@ inside the covering the least part containing it, transport restrictions
 through the cocycle, and extend the resulting basis presheaf by limits.
 Least-label choice replaces the axiom of choice; independence from the
 choice is verified by tests rather than assumed.
+
+Every equation that is only tested, never returned, compares component
+tables on the opens inside its overlap (``composites_agree``); no subspace
+or restriction is built.  ``glue`` runs the cocycle check, once, and its
+``CocycleViolation`` carries the violations.
 """
 
 from __future__ import annotations
@@ -20,15 +25,16 @@ from .presheaf import (
     Presheaf,
     PresheafMorphism,
     compose_morphisms,
+    composites_agree,
     extend_from_basis,
+    identity_morphism,
+    is_restriction,
     is_sheaf,
-    morphisms_equal,
-    presheaves_equal,
     restrict_morphism,
     restrict_to_open,
 )
 from .topology import Basis, FiniteSpace, PointSet, subspace
-from .values import composite_table, compose, identity, tupling
+from .values import composite_table, compose, tupling
 
 
 @dataclass
@@ -59,9 +65,8 @@ class GluingDatum:
             if self.parts[lam].space != subspace(self.space, u):
                 raise NotAGluing(f"part {lam!r} does not live on its covering open")
         for lam in self.covering:
-            key = (lam, lam)
-            if key not in self.cocycle:
-                self.cocycle[key] = _identity_on_overlap(self, lam, lam)
+            if (lam, lam) not in self.cocycle:
+                self.cocycle[(lam, lam)] = identity_morphism(self.parts[lam])
         for lam in self.covering:
             for mu in self.covering:
                 if (lam, mu) not in self.cocycle:
@@ -81,11 +86,6 @@ class GluingDatum:
         return restrict_to_open(self.parts[lam], self.overlap(lam, mu))
 
 
-def _identity_on_overlap(d: GluingDatum, lam: str, mu: str) -> PresheafMorphism:
-    p = d.part_on_overlap(lam, mu)
-    return PresheafMorphism(p, p, {u: identity(p.sections[u]) for u in p.space.opens})
-
-
 @dataclass
 class CocycleReport:
     verdict: bool
@@ -100,30 +100,25 @@ def check_cocycle(d: GluingDatum) -> CocycleReport:
     for lam in idx:
         for mu in idx:
             th = d.cocycle[(lam, mu)]
-            want_src = d.part_on_overlap(mu, lam)
-            want_tgt = d.part_on_overlap(lam, mu)
-            if not (presheaves_equal(th.source, want_src)
-                    and presheaves_equal(th.target, want_tgt)):
+            o = d.overlap(lam, mu)
+            if not (is_restriction(th.source, d.parts[mu], o)
+                    and is_restriction(th.target, d.parts[lam], o)):
                 violations.append({"pair": [lam, mu], "kind": "WrongRestriction"})
                 continue
             if not th.is_isomorphism():
                 violations.append({"pair": [lam, mu], "kind": "NotIso"})
-            if lam == mu and not morphisms_equal(th, _identity_on_overlap(d, lam, lam)):
+            if lam == mu and not composites_agree(
+                    [th], [identity_morphism(d.parts[lam])], th.source.space.opens):
                 violations.append({"pair": [lam, mu], "kind": "NotIdentity"})
     for lam in idx:
         for mu in idx:
             for nu in idx:
                 triple = d.covering[lam] & d.covering[mu] & d.covering[nu]
-                left = restrict_morphism(d.cocycle[(lam, nu)], triple)
-                right = compose_morphisms(
-                    restrict_morphism(d.cocycle[(lam, mu)], triple),
-                    restrict_morphism(d.cocycle[(mu, nu)], triple))
-                if not morphisms_equal(left, right):
-                    violations.append({
-                        "triple": [lam, mu, nu],
-                        "kind": "TripleOverlap",
-                        "overlap": open_key(triple),
-                    })
+                if not composites_agree([d.cocycle[(lam, nu)]],
+                                        [d.cocycle[(lam, mu)], d.cocycle[(mu, nu)]],
+                                        d.space.opens_within(triple)):
+                    violations.append({"triple": [lam, mu, nu], "kind": "TripleOverlap",
+                                       "overlap": open_key(triple)})
     return CocycleReport(not violations, violations)
 
 
@@ -162,7 +157,7 @@ def glue(d: GluingDatum, choice: Callable[[PointSet], str] | None = None) -> Glu
     """
     report = check_cocycle(d)
     if not report.verdict:
-        raise CocycleViolation(f"{len(report.violations)} cocycle violations")
+        raise CocycleViolation(report.violations)
     for lam in d.indices():
         if not is_sheaf(d.parts[lam]):
             raise NotAGluing(f"part {lam!r} is not a sheaf")
@@ -185,29 +180,20 @@ def glue(d: GluingDatum, choice: Callable[[PointSet], str] | None = None) -> Glu
             res[(v, w)] = compose(transport, inner)
     bp = BasisPresheaf(basis, sections, res)
     ext = extend_from_basis(bp)
-    isos = {}
-    for lam in d.indices():
-        u_lam = d.covering[lam]
-        comp = {}
-        for v in d.parts[lam].space.opens:
-            can_v = ext.can(v)
-            comp[v] = compose(d.cocycle[(lam, tau[v])].components[v], can_v)
-        isos[lam] = PresheafMorphism(
-            restrict_to_open(ext.presheaf, u_lam), d.parts[lam], comp)
+    isos = {
+        lam: PresheafMorphism(restrict_to_open(ext.presheaf, d.covering[lam]), d.parts[lam], {
+            v: compose(d.cocycle[(lam, tau[v])].components[v], ext.can(v))
+            for v in d.parts[lam].space.opens})
+        for lam in d.indices()}
     return GluedSheaf(ext.presheaf, isos, ext, basis, tau)
 
 
 def check_glued_invariant(d: GluingDatum, g: GluedSheaf) -> bool:
-    """θ_{λμ} = η′_λ ∘ (η′_μ)⁻¹ as table equality on every overlap open."""
-    for lam in d.indices():
-        for mu in d.indices():
-            o = d.overlap(lam, mu)
-            eta_l = restrict_morphism(g.isos[lam], o)
-            eta_m = restrict_morphism(g.isos[mu], o)
-            composite = compose_morphisms(eta_l, eta_m.inverse())
-            if not morphisms_equal(composite, d.cocycle[(lam, mu)]):
-                return False
-    return True
+    """θ_{λμ} = η_λ ∘ η_μ⁻¹, checked as θ_{λμ} ∘ η_μ = η_λ on every overlap open."""
+    return all(
+        composites_agree([d.cocycle[(lam, mu)], g.isos[mu]], [g.isos[lam]],
+                         d.space.opens_within(d.overlap(lam, mu)))
+        for lam in d.indices() for mu in d.indices())
 
 
 def glued_uniqueness(d: GluingDatum, candidate: GluedSheaf,
@@ -217,8 +203,7 @@ def glued_uniqueness(d: GluingDatum, candidate: GluedSheaf,
     if not is_sheaf(candidate.sheaf):
         raise NotAGluing("candidate is not a sheaf")
     for lam in d.indices():
-        iso = candidate.isos[lam]
-        if not iso.is_isomorphism():
+        if not candidate.isos[lam].is_isomorphism():
             raise NotAGluing(f"candidate iso at {lam!r} is not an isomorphism")
     if not check_glued_invariant(d, candidate):
         raise NotAGluing("candidate does not satisfy the gluing invariant")
@@ -233,11 +218,8 @@ def glued_uniqueness(d: GluingDatum, candidate: GluedSheaf,
     if not phi.is_isomorphism():
         raise NotAGluing("comparison with the glued sheaf is not bijective")
     for lam in d.indices():
-        left = candidate.isos[lam]
-        right = compose_morphisms(
-            result.isos[lam],
-            restrict_morphism(phi, d.covering[lam]))
-        if not morphisms_equal(left, right):
+        if not composites_agree([candidate.isos[lam]], [result.isos[lam], phi],
+                                d.space.opens_within(d.covering[lam])):
             raise NotAGluing(f"comparison does not intertwine the isos at {lam!r}")
     return phi
 
@@ -252,31 +234,25 @@ def glue_morphisms(d: GluingDatum, e: GluingDatum,
     morphism is the unique one restricting to the family through the η/ζ
     identifications.
     """
-    if sorted(d.covering) != sorted(e.covering) or any(
-            d.covering[k] != e.covering[k] for k in d.covering):
+    if d.covering != e.covering:
         raise IncompatibleFamily("data do not share one covering")
     for lam in d.indices():
         if lam not in family:
             raise IncompatibleFamily(f"family misses index {lam!r}")
     for lam in d.indices():
         for mu in d.indices():
-            o = d.overlap(lam, mu)
-            left = compose_morphisms(
-                restrict_morphism(family[lam], o), d.cocycle[(lam, mu)])
-            right = compose_morphisms(
-                e.cocycle[(lam, mu)], restrict_morphism(family[mu], o))
-            if not morphisms_equal(left, right):
+            if not composites_agree([family[lam], d.cocycle[(lam, mu)]],
+                                    [e.cocycle[(lam, mu)], family[mu]],
+                                    d.space.opens_within(d.overlap(lam, mu))):
                 raise IncompatibleFamily(
                     f"square fails on overlap of ({lam!r}, {mu!r})")
     dr = d_result or glue(d)
     er = e_result or glue(e)
     # at a basis open v: into the part d's choice picked, through u_λ, and
     # on into the part e's choice picked
-    to_e = {}
-    for v in dr.basis.sorted_members():
-        lam = dr.tau[v]
-        to_e[v] = compose(e.cocycle[(er.tau[v], lam)].components[v],
-                          compose(family[lam].components[v], dr.extension.can(v)))
+    to_e = {v: compose(e.cocycle[(er.tau[v], dr.tau[v])].components[v],
+                       compose(family[dr.tau[v]].components[v], dr.extension.can(v)))
+            for v in dr.basis.sorted_members()}
     comp = {
         u: tupling(dr.sheaf.sections[u], er.sheaf.sections[u], {
             open_key(v): composite_table(to_e[v], dr.sheaf.restrict(v, u))
@@ -289,15 +265,10 @@ def morphism_to_family(d: GluingDatum, e: GluingDatum, u: PresheafMorphism,
                        d_result: GluedSheaf, e_result: GluedSheaf
                        ) -> dict[str, PresheafMorphism]:
     """Restrict a glued morphism back to the parts: λ ↦ ζ_λ ∘ u|_λ ∘ η_λ⁻¹."""
-    out = {}
-    for lam in d.indices():
-        u_lam = d.covering[lam]
-        out[lam] = compose_morphisms(
-            e_result.isos[lam],
-            compose_morphisms(
-                restrict_morphism(u, u_lam),
-                d_result.isos[lam].inverse()))
-    return out
+    return {
+        lam: compose_morphisms(e_result.isos[lam], compose_morphisms(
+            restrict_morphism(u, d.covering[lam]), d_result.isos[lam].inverse()))
+        for lam in d.indices()}
 
 
 def restrict_gluing(d: GluingDatum, v: Iterable[str]) -> GluingDatum:
@@ -305,11 +276,7 @@ def restrict_gluing(d: GluingDatum, v: Iterable[str]) -> GluingDatum:
     sv = d.space.require_open(v)
     sub = subspace(d.space, sv)
     covering = {lam: u & sv for lam, u in d.covering.items()}
-    parts = {
-        lam: restrict_to_open(d.parts[lam], covering[lam])
-        for lam in d.covering
-    }
-    cocycle = {}
-    for (lam, mu), th in d.cocycle.items():
-        cocycle[(lam, mu)] = restrict_morphism(th, covering[lam] & covering[mu])
+    parts = {lam: restrict_to_open(d.parts[lam], covering[lam]) for lam in d.covering}
+    cocycle = {(lam, mu): restrict_morphism(th, covering[lam] & covering[mu])
+               for (lam, mu), th in d.cocycle.items()}
     return GluingDatum(sub, covering, parts, cocycle)

@@ -12,7 +12,7 @@ covering that fails, ``enumerate_all_coverings`` every covering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .canon import mapping_label, open_key, open_of_key
 from .errors import (
@@ -188,17 +188,35 @@ def compose_morphisms(outer: PresheafMorphism, inner: PresheafMorphism) -> Presh
 
 
 def morphisms_equal(u: PresheafMorphism, v: PresheafMorphism) -> bool:
-    return all(u.components[w].map == v.components[w].map
-               for w in u.source.space.opens)
+    return composites_agree([u], [v], u.source.space.opens)
+
+
+def composites_agree(left: Sequence[PresheafMorphism], right: Sequence[PresheafMorphism],
+                     opens: Iterable[PointSet]) -> bool:
+    """Whether two composites, each one morphism or an ``(outer, inner)``
+    pair, have equal tables on ``opens``; a pair that does not compose makes
+    them unequal.  Passing the opens inside an open checks an equation of
+    morphisms over it without restricting, composing or re-checking one.
+    """
+    def table(side, w):
+        if len(side) == 1:
+            return side[0].components[w].map
+        outer, inner = (m.components[w] for m in side)
+        return composite_table(outer, inner) if outer.source == inner.target else None
+    return all((t := table(left, w)) is not None and t == table(right, w) for w in opens)
+
+
+def is_restriction(p: Presheaf, q: Presheaf, u: PointSet) -> bool:
+    """Whether ``p`` is ``q`` restricted to its open ``u``, table for table."""
+    return (p.space.points == u and p.space.opens == frozenset(q.space.opens_within(u))
+            and p.category == q.category
+            and all(p.sections[v] == q.sections[v] for v in p.space.opens)
+            and all(p.res[k].map == q.res[k].map for k in p.res))
 
 
 def presheaves_equal(p: Presheaf, q: Presheaf) -> bool:
     """Structural table equality (not mere isomorphism)."""
-    if p.space != q.space or p.category != q.category:
-        return False
-    if any(p.sections[u] != q.sections[u] for u in p.space.opens):
-        return False
-    return all(p.res[k].map == q.res[k].map for k in p.res)
+    return p is q or (p.space == q.space and is_restriction(p, q, q.space.points))
 
 
 def _functorial(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> bool:
@@ -624,10 +642,9 @@ class SheafDiagram:
             if (i, j) not in self.arrows:
                 raise MalformedDiagram(f"missing arrow for {i!r} <= {j!r}")
             arr = self.arrows[(i, j)]
-            if arr.source is not self.sheaves[j] or arr.target is not self.sheaves[i]:
-                if not (presheaves_equal(arr.source, self.sheaves[j])
-                        and presheaves_equal(arr.target, self.sheaves[i])):
-                    raise MalformedDiagram(f"arrow at ({i!r}, {j!r}) connects wrong sheaves")
+            if not (presheaves_equal(arr.source, self.sheaves[j])
+                    and presheaves_equal(arr.target, self.sheaves[i])):
+                raise MalformedDiagram(f"arrow at ({i!r}, {j!r}) connects wrong sheaves")
         opens = next(iter(spaces)).opens if spaces else ()
         self.diagrams = {
             u: Diagram(self.index,
@@ -678,8 +695,11 @@ def mediating_sheaf_morphism(lim: SheafLimit, cone: Mapping[str, PresheafMorphis
     if set(cone) != set(d.index.elements):
         raise IncompatibleFamily("cone must give one morphism per index")
     tip = next(iter(cone.values())).source
+    for i, leg in cone.items():
+        if not (presheaves_equal(leg.source, tip) and presheaves_equal(leg.target, d.sheaves[i])):
+            raise IncompatibleFamily(f"cone leg at {i!r} does not run from the tip to its sheaf")
     for (i, j) in d.index.pairs_below():
-        if not morphisms_equal(compose_morphisms(d.arrows[(i, j)], cone[j]), cone[i]):
+        if not composites_agree([d.arrows[(i, j)], cone[j]], [cone[i]], tip.space.opens):
             raise IncompatibleFamily(f"cone does not commute over ({i!r}, {j!r})")
     comp = {
         u: tupling(tip.sections[u], lim.presheaf.sections[u],

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 from finsheaf.cli import main
+from finsheaf.serialize import gluing_to_payload
+from test_gluing import three_part_swap_datum
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -97,6 +99,17 @@ class TestConstructions:
         assert doc["payload"]["sections"]["a,b,x,y"] == 0
         code2, _ = run_cli_json(["check-sheaf", "--presheaf", out], capsys)
         assert code2 == 0
+
+    def test_glue_cocycle_violations(self, tmp_path, pc4, capsys):
+        path = tmp_path / "swap.gluing.json"
+        path.write_text(json.dumps(gluing_to_payload(three_part_swap_datum(pc4))),
+                        encoding="utf-8")
+        code, doc = run_cli_json(["glue", "--gluing", str(path)], capsys)
+        assert code == 1
+        assert doc["payload"] == {"cocycle_violations": [
+            {"triple": triple, "kind": "TripleOverlap", "overlap": "a,b"}
+            for triple in (["1", "2", "3"], ["1", "3", "2"], ["2", "1", "3"],
+                           ["2", "3", "1"], ["3", "1", "2"], ["3", "2", "1"])]}
 
     def test_extend_basis(self, tmp_path, capsys):
         out = str(tmp_path / "ext.json")

@@ -1,9 +1,14 @@
+from itertools import islice
+from math import prod
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finsheaf import fixtures as fx
-from finsheaf.canon import pair_label
-from finsheaf.errors import IncompatibleFamily, NotAGluing
+from finsheaf.canon import open_key, pair_label
+from finsheaf.errors import CocycleViolation, IncompatibleFamily, NotAGluing
 from finsheaf.gluing import (
+    CocycleReport,
     GluedSheaf,
     GluingDatum,
     check_cocycle,
@@ -14,17 +19,21 @@ from finsheaf.gluing import (
     morphism_to_family,
     restrict_gluing,
 )
+from finsheaf.oracles import enumerate_basis_presheaves, enumerate_topologies
 from finsheaf.presheaf import (
     PresheafMorphism,
     check_sheaf,
     compose_morphisms,
+    enumerate_presheaf_morphisms,
+    extend_from_basis,
     identity_morphism,
     morphisms_equal,
+    presheaves_equal,
     restrict_morphism,
     restrict_to_open,
 )
-from finsheaf.topology import subspace
-from finsheaf.values import ValueMorphism, finset, identity
+from finsheaf.topology import Basis, minimal_open, subspace
+from finsheaf.values import ValueMorphism, cyclic_group, finset, identity
 
 U1 = frozenset({"a", "b", "x"})
 U2 = frozenset({"a", "b", "y"})
@@ -78,6 +87,22 @@ def self_gluing(sheaf, covering: dict) -> GluingDatum:
     return GluingDatum(sheaf.space, covering, parts, cocycle)
 
 
+def three_part_swap_datum(pc4) -> GluingDatum:
+    """A three-part self-gluing whose θ_{3,2} swaps the b component."""
+    sheaf = fx.locally_constant_sheaf(pc4, finset(["0", "1"]))
+    d = self_gluing(sheaf, {"1": U1, "2": U2, "3": AB})
+    src = restrict_to_open(d.parts["2"], AB)
+    tgt = restrict_to_open(d.parts["3"], AB)
+    comps = {
+        u: ValueMorphism(src.sections[u], tgt.sections[u],
+                         {a: swap_on_b(u, a) for a in src.sections[u].elements})
+        for u in src.space.opens
+    }
+    d.cocycle[("3", "2")] = PresheafMorphism(src, tgt, comps)
+    d.cocycle[("2", "3")] = d.cocycle[("3", "2")].inverse()
+    return d
+
+
 class TestCocycle:
     def test_identity_cocycle_passes(self, pc4):
         sheaf = fx.locally_constant_sheaf(pc4, finset(["0", "1"]))
@@ -89,19 +114,7 @@ class TestCocycle:
         assert check_cocycle(pc4_datum(pc4, twisted=True)).verdict
 
     def test_three_part_swap_mismatch_names_triple(self, pc4):
-        sheaf = fx.locally_constant_sheaf(pc4, finset(["0", "1"]))
-        covering = {"1": U1, "2": U2, "3": AB}
-        d = self_gluing(sheaf, covering)
-        # corrupt θ_{3,2} with a swap on the b component
-        src = restrict_to_open(d.parts["2"], AB)
-        tgt = restrict_to_open(d.parts["3"], AB)
-        comps = {
-            u: ValueMorphism(src.sections[u], tgt.sections[u],
-                             {a: swap_on_b(u, a) for a in src.sections[u].elements})
-            for u in src.space.opens
-        }
-        d.cocycle[("3", "2")] = PresheafMorphism(src, tgt, comps)
-        d.cocycle[("2", "3")] = d.cocycle[("3", "2")].inverse()
+        d = three_part_swap_datum(pc4)
         report = check_cocycle(d)
         assert not report.verdict
         triples = [v["triple"] for v in report.violations if v["kind"] == "TripleOverlap"]
@@ -280,3 +293,129 @@ class TestRestrictGluing:
             for lam in r.indices()})
         phi = glued_uniqueness(r, candidate, small)
         assert phi.is_isomorphism()
+
+
+# -- the table checks against morphism-level references -----------------------
+
+def reference_check_cocycle(d: GluingDatum) -> CocycleReport:
+    """check_cocycle on restricted, composed and re-checked morphisms."""
+    violations: list[dict] = []
+    idx = d.indices()
+    for lam in idx:
+        for mu in idx:
+            th = d.cocycle[(lam, mu)]
+            want_src = d.part_on_overlap(mu, lam)
+            want_tgt = d.part_on_overlap(lam, mu)
+            if not (presheaves_equal(th.source, want_src)
+                    and presheaves_equal(th.target, want_tgt)):
+                violations.append({"pair": [lam, mu], "kind": "WrongRestriction"})
+                continue
+            if not th.is_isomorphism():
+                violations.append({"pair": [lam, mu], "kind": "NotIso"})
+            if lam == mu and not morphisms_equal(th, identity_morphism(want_src)):
+                violations.append({"pair": [lam, mu], "kind": "NotIdentity"})
+    for lam in idx:
+        for mu in idx:
+            for nu in idx:
+                triple = d.covering[lam] & d.covering[mu] & d.covering[nu]
+                left = restrict_morphism(d.cocycle[(lam, nu)], triple)
+                right = compose_morphisms(
+                    restrict_morphism(d.cocycle[(lam, mu)], triple),
+                    restrict_morphism(d.cocycle[(mu, nu)], triple))
+                if not morphisms_equal(left, right):
+                    violations.append({"triple": [lam, mu, nu], "kind": "TripleOverlap",
+                                       "overlap": open_key(triple)})
+    return CocycleReport(not violations, violations)
+
+
+def reference_glued_invariant(d: GluingDatum, g: GluedSheaf) -> bool:
+    """θ_{λμ} = η_λ ∘ η_μ⁻¹ on restricted, composed and inverted morphisms."""
+    for lam in d.indices():
+        for mu in d.indices():
+            o = d.overlap(lam, mu)
+            composite = compose_morphisms(restrict_morphism(g.isos[lam], o),
+                                          restrict_morphism(g.isos[mu], o).inverse())
+            if not morphisms_equal(composite, d.cocycle[(lam, mu)]):
+                return False
+    return True
+
+
+def _extended_sheaves(space) -> list:
+    """The first 40 sheaves with stalks of size 1 or 2, extended from the
+    minimal-open basis."""
+    minimal = Basis(space, frozenset(minimal_open(space, x) for x in space.points))
+    return [extend_from_basis(bp).presheaf
+            for bp in islice(enumerate_basis_presheaves(minimal, min_size=1), 40)]
+
+
+def _few_endomorphisms(sheaf) -> bool:
+    """Keeps each automorphism enumeration small."""
+    return prod(len(obj) ** len(obj) for obj in sheaf.sections.values()) <= 10 ** 4
+
+
+SPACES = (enumerate_topologies(["1", "2"]) + enumerate_topologies(["1", "2", "3"])
+          + [fx.pseudocircle()[0]])
+EXTENDED = {space: _extended_sheaves(space) for space in SPACES}
+# locally constant FinSet and FinAb sheaves, and three extended ones per space
+SHEAVES = [s for space in SPACES
+           for s in [fx.locally_constant_sheaf(space, v)
+                     for v in (finset(["0", "1"]), cyclic_group(2))] + EXTENDED[space][:30:10]
+           if _few_endomorphisms(s)]
+# sheaves with no sections over some open: there a morphism has an empty
+# component that fixes nothing below it, so only a check on every open
+# inside an overlap sees where two composites differ
+EMPTY_SOMEWHERE = [s for space in SPACES for s in EXTENDED[space]
+                   if any(len(obj) == 0 for obj in s.sections.values()) and _few_endomorphisms(s)]
+
+
+@st.composite
+def coverings(draw, space) -> dict:
+    """2 or 3 opens covering the space, labelled "0", "1", "2"."""
+    parts = draw(st.lists(st.sampled_from(space.sorted_opens()), min_size=2, max_size=3))
+    if frozenset().union(*parts) != space.points:
+        parts[-1] = space.points
+    return {str(k): u for k, u in enumerate(parts)}
+
+
+def automorphisms(p) -> list[PresheafMorphism]:
+    return [m for m in enumerate_presheaf_morphisms(p, p) if m.is_isomorphism()]
+
+
+@st.composite
+def twisted_self_gluings(draw, sheaf, covering: dict) -> GluingDatum:
+    """A self-gluing whose θ_{λμ} for λ ≤ μ are drawn from the identity and
+    the automorphisms of the sheaf on the overlap; θ_{μλ} is the inverse."""
+    d = self_gluing(sheaf, covering)
+    for lam in covering:
+        for mu in covering:
+            if lam > mu or not draw(st.booleans()):
+                continue
+            on_overlap = restrict_to_open(sheaf, covering[lam] & covering[mu])
+            d.cocycle[(lam, mu)] = draw(st.sampled_from(automorphisms(on_overlap)))
+            if lam != mu:
+                d.cocycle[(mu, lam)] = d.cocycle[(lam, mu)].inverse()
+    return d
+
+
+class TestTableChecksMatchReference:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cocycle_report_and_invariant(self, data):
+        sheaf = data.draw(st.sampled_from(SHEAVES) | st.sampled_from(EMPTY_SOMEWHERE))
+        covering = data.draw(coverings(sheaf.space))
+        d = data.draw(twisted_self_gluings(sheaf, covering))
+        assert check_cocycle(d) == reference_check_cocycle(d)
+        # the invariant against d of its own gluing and of another datum's,
+        # each also with one identification η_λ twisted by an automorphism
+        for datum in (d, data.draw(twisted_self_gluings(sheaf, covering))):
+            try:
+                g = glue(datum)
+            except CocycleViolation as exc:
+                assert exc.violations == check_cocycle(datum).violations
+                continue
+            lam = data.draw(st.sampled_from(sorted(covering)))
+            alpha = data.draw(st.sampled_from(automorphisms(d.parts[lam])))
+            twisted = GluedSheaf(g.sheaf, {**g.isos, lam: compose_morphisms(alpha, g.isos[lam])})
+            for candidate in (g, twisted):
+                assert (check_glued_invariant(d, candidate)
+                        == reference_glued_invariant(d, candidate))

@@ -574,6 +574,16 @@ class TestLimitOfSheaves:
                     assert morphisms_equal(
                         compose_morphisms(lim.projections[i], med), cone[i])
 
+    @pytest.mark.parametrize("le", [[], [("L", "R")]])
+    def test_cone_leg_into_wrong_sheaf_rejected(self, sierp_sheaf, le):
+        arrows = {pair: identity_morphism(sierp_sheaf) for pair in le}
+        lim = limit_of_sheaves(SheafDiagram(
+            Poset.from_pairs(["L", "R"], le), {"L": sierp_sheaf, "R": sierp_sheaf}, arrows))
+        other = fx.locally_constant_sheaf(sierp_sheaf.space, finset(["0", "1", "2"]))
+        stray = enumerate_presheaf_morphisms(sierp_sheaf, other)[0]
+        with pytest.raises(IncompatibleFamily):
+            mediating_sheaf_morphism(lim, {"L": identity_morphism(sierp_sheaf), "R": stray})
+
 
 PT = frozenset({"p"})
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 
@@ -52,7 +51,14 @@ def _failures_payload(report) -> list[dict]:
 
 
 def _load_presheaf(path: str) -> Presheaf | BasisPresheaf:
-    return ser.presheaf_from_payload(ser.load_json(path), os.path.dirname(path) or ".")
+    return ser.load_file(path, ser.presheaf_from_payload)
+
+
+def _constructed(args, p: Presheaf) -> dict[str, int]:
+    """Writes ``p`` to ``--out`` when given; returns its section counts."""
+    if args.out:
+        ser.dump_json(args.out, ser.presheaf_to_payload(p))
+    return {open_key(u): len(p.sections[u]) for u in p.space.sorted_opens()}
 
 
 def _need_full(p, what: str) -> Presheaf:
@@ -91,19 +97,13 @@ def cmd_check_f0(args) -> tuple[dict, bool]:
 def cmd_extend_basis(args) -> tuple[dict, bool]:
     bp = _need_basis(_load_presheaf(args.presheaf), "extend-basis")
     ext = extend_from_basis(bp)
-    payload = {
-        "sections": {
-            open_key(u): len(ext.presheaf.sections[u])
-            for u in ext.presheaf.space.sorted_opens()
-        },
+    return {
+        "sections": _constructed(args, ext.presheaf),
         "canonical_bijective": {
             open_key(b): ext.can(b).is_bijective()
             for b in bp.basis.sorted_members()
         },
-    }
-    if args.out:
-        ser.dump_json(args.out, ser.presheaf_to_payload(ext.presheaf))
-    return payload, True
+    }, True
 
 
 def cmd_stalk(args) -> tuple[dict, bool]:
@@ -126,27 +126,17 @@ def cmd_support(args) -> tuple[dict, bool]:
 
 
 def cmd_pushforward(args) -> tuple[dict, bool]:
-    psi = ser.map_from_payload(ser.load_json(args.map), os.path.dirname(args.map) or ".")
+    psi = ser.load_file(args.map, ser.map_from_payload)
     p = _need_full(_load_presheaf(args.presheaf), "pushforward")
-    out = pushforward(psi, p)
-    if args.out:
-        ser.dump_json(args.out, ser.presheaf_to_payload(out))
-    return {
-        "sections": {open_key(u): len(out.sections[u]) for u in out.space.sorted_opens()}
-    }, True
+    return {"sections": _constructed(args, pushforward(psi, p))}, True
 
 
 def cmd_pullback(args) -> tuple[dict, bool]:
-    psi = ser.map_from_payload(ser.load_json(args.map), os.path.dirname(args.map) or ".")
+    psi = ser.load_file(args.map, ser.map_from_payload)
     p = _need_full(_load_presheaf(args.presheaf), "pullback")
     inv = pullback(psi, p)
-    if args.out:
-        ser.dump_json(args.out, ser.presheaf_to_payload(inv.sheaf))
     return {
-        "sections": {
-            open_key(u): len(inv.sheaf.sections[u])
-            for u in inv.sheaf.space.sorted_opens()
-        },
+        "sections": _constructed(args, inv.sheaf),
         "unit": ser.morphism_tables(inv.unit),
     }, True
 
@@ -154,20 +144,15 @@ def cmd_pullback(args) -> tuple[dict, bool]:
 def cmd_sheafify(args) -> tuple[dict, bool]:
     p = _need_full(_load_presheaf(args.presheaf), "sheafify")
     inv = sheafify(p)
-    if args.out:
-        ser.dump_json(args.out, ser.presheaf_to_payload(inv.sheaf))
     return {
-        "sections": {
-            open_key(u): len(inv.sheaf.sections[u])
-            for u in inv.sheaf.space.sorted_opens()
-        },
+        "sections": _constructed(args, inv.sheaf),
         "unit": ser.morphism_tables(inv.unit),
         "unit_is_isomorphism": inv.unit.is_isomorphism(),
     }, True
 
 
 def cmd_adjunction_test(args) -> tuple[dict, bool]:
-    psi = ser.map_from_payload(ser.load_json(args.map), os.path.dirname(args.map) or ".")
+    psi = ser.load_file(args.map, ser.map_from_payload)
     g = _need_full(_load_presheaf(args.presheaf), "adjunction-test")
     f = _need_full(_load_presheaf(args.sheaf), "adjunction-test")
     witness = check_adjunction(psi, g, f, max_homs=args.max_homs)
@@ -183,39 +168,22 @@ def cmd_adjunction_test(args) -> tuple[dict, bool]:
 
 
 def cmd_glue(args) -> tuple[dict, bool]:
-    datum = ser.gluing_from_payload(ser.load_json(args.gluing),
-                                    os.path.dirname(args.gluing) or ".")
+    datum = ser.load_file(args.gluing, ser.gluing_from_payload)
     try:
         result = glue(datum)
     except CocycleViolation as exc:
         return {"cocycle_violations": exc.violations}, False
-    if args.out:
-        ser.dump_json(args.out, ser.presheaf_to_payload(result.sheaf))
-    payload = {
-        "sections": {
-            open_key(u): len(result.sheaf.sections[u])
-            for u in datum.space.sorted_opens()
-        },
+    return {
+        "sections": _constructed(args, result.sheaf),
         "invariant": check_glued_invariant(datum, result),
-    }
-    return payload, True
+    }, True
 
 
 def cmd_limit(args) -> tuple[dict, bool]:
-    diagram = ser.diagram_from_payload(ser.load_json(args.diagram),
-                                       os.path.dirname(args.diagram) or ".")
-    result = limit_of_sheaves(diagram)
-    if args.out:
-        ser.dump_json(args.out, ser.presheaf_to_payload(result.presheaf))
+    result = limit_of_sheaves(ser.load_file(args.diagram, ser.diagram_from_payload))
+    sections = _constructed(args, result.presheaf)
     sheaf_ok = check_sheaf(result.presheaf).verdict
-    payload = {
-        "sections": {
-            open_key(u): len(result.presheaf.sections[u])
-            for u in result.presheaf.space.sorted_opens()
-        },
-        "is_sheaf": sheaf_ok,
-    }
-    return payload, sheaf_ok
+    return {"sections": sections, "is_sheaf": sheaf_ok}, sheaf_ok
 
 
 def cmd_simple_check(args) -> tuple[dict, bool]:

@@ -149,18 +149,16 @@ def psi_morphism_from_family(
 ) -> PsiMorphism:
     """Assemble a ψ-morphism from maps u_{U,V}: G(V) → F(U), ψ(U) ⊆ V.
 
-    With ``bases`` = (basis of X, basis of Y) the family only covers basis
-    pairs and F, G must be sheaves; sections are then glued through the
-    basis identifications.  Without it the family must cover all pairs
-    and the morphism is read off as u_V = u_{ψ⁻¹(V), V}.
+    The family covers the pairs of basis opens, ``bases`` = (basis of X,
+    basis of Y), or without it all pairs of opens.  The component at W sends
+    s to the one section of F(ψ⁻¹W) whose restriction to each U is
+    u_{U,V}(s|V), over the pairs with V ⊆ W; with all opens the pair
+    (ψ⁻¹W, W) forces it to u_{ψ⁻¹W,W}(s).
     """
     _require_continuous(psi)
-    x_space, y_space = psi.source, psi.target
     if bases is None:
-        opens_x, opens_y, what = x_space.sorted_opens(), y_space.sorted_opens(), "pair"
+        opens_x, opens_y, what = psi.source.sorted_opens(), psi.target.sorted_opens(), "pair"
     else:
-        if not (is_sheaf(f) and is_sheaf(g)):
-            raise NotASheaf("the basis variant needs sheaves on both sides")
         opens_x, opens_y = (b.sorted_members() for b in bases)
         what = "basis pair"
     pairs = [(u, v) for u in opens_x for v in opens_y if psi.image(u) <= v]
@@ -180,34 +178,26 @@ def psi_morphism_from_family(
                 raise IncompatibleFamily(
                     f"square fails at ({open_key(u)!r},{open_key(v)!r}) ⊇ "
                     f"({open_key(u2)!r},{open_key(v2)!r})")
-    if bases is None:
-        components = {v: family[(psi.preimage(v), v)] for v in y_space.opens}
-        body = PresheafMorphism(g, pushforward(psi, f), components)
-        return PsiMorphism(psi, g, f, body)
-
     pf = pushforward(psi, f)
     components = {}
-    for w in y_space.sorted_opens():
+    for w in psi.target.sorted_opens():
+        pw = psi.preimage(w)
+        legs = [(f.restrict(u, pw).map, family[(u, v)].map, g.restrict(v, w).map)
+                for (u, v) in pairs if v <= w]
+        # the sections of F(ψ⁻¹W) by their restrictions along the legs
+        sections_with: dict[tuple, list[str]] = {}
+        for t in f.sections[pw].elements:
+            sections_with.setdefault(tuple(ft[t] for ft, _, _ in legs), []).append(t)
         table = {}
         for s in g.sections[w].elements:
-            # double gluing: first over basis opens of X inside each
-            # preimage, then over basis opens of Y inside w
-            candidates = [
-                t for t in f.sections[psi.preimage(w)].elements
-                if all(
-                    f.restrict(u, psi.preimage(w)).map[t]
-                    == family[(u, v)].map[g.restrict(v, w).map[s]]
-                    for (u, v) in pairs if v <= w
-                )
-            ]
+            candidates = sections_with.get(tuple(uv[gs[s]] for _, uv, gs in legs), [])
             if len(candidates) != 1:
                 raise IncompatibleFamily(
                     f"family does not glue at {open_key(w)!r}: "
                     f"{len(candidates)} candidates for {s!r}")
             table[s] = candidates[0]
         components[w] = ValueMorphism(g.sections[w], pf.sections[w], table)
-    body = PresheafMorphism(g, pf, components)
-    return PsiMorphism(psi, g, f, body)
+    return PsiMorphism(psi, g, f, PresheafMorphism(g, pf, components))
 
 
 # -- inverse image ------------------------------------------------------------
@@ -336,6 +326,18 @@ def sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
     return _sharp(u, inv)
 
 
+def _fiber_identification(inv: InverseImage, x: str) -> ValueMorphism:
+    """β_x: G_ψ(x) → (ψ*G)_x, the unit at V_ψ(x) followed by the restriction
+    from ψ⁻¹(V_ψ(x)) to U_x; raises unless it is bijective."""
+    psi = inv.psi
+    n = minimal_open(psi.target, psi(x))
+    bx = compose(inv.sheaf.restrict(minimal_open(psi.source, x), psi.preimage(n)),
+                 inv.unit.components[n])
+    if not bx.is_bijective():
+        raise NotInverseImagePair(f"fiber identification at {x!r} is not bijective")
+    return bx
+
+
 def _sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
     """``sharp`` for a caller that has already checked that u.target is a sheaf."""
     f = u.target
@@ -346,15 +348,10 @@ def _sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
     # β_x, applies u and takes the germ at x
     carry: dict[str, tuple[PointSet, dict[str, str]]] = {}
     for x in sorted(x_space.points):
-        n = minimal_open(psi.target, psi(x))
         m = minimal_open(x_space, x)
-        # β_x = (germ at x) ∘ (unit at the minimal open downstairs)
-        bx = compose(h.restrict(m, psi.preimage(n)), inv.unit.components[n])
-        if not bx.is_bijective():
-            raise NotInverseImagePair(
-                f"fiber identification at {x!r} is not bijective")
-        transport = compose(f.restrict(m, psi.preimage(n)), u.body.components[n]).map
-        carry[x] = (m, {germ: transport[g] for g, germ in bx.map.items()})
+        transport = u.pair_component(m, minimal_open(psi.target, psi(x))).map
+        carry[x] = (m, {germ: transport[g]
+                        for g, germ in _fiber_identification(inv, x).map.items()})
     components = {}
     for w in x_space.sorted_opens():
         legs = [(h.restrict(m, w).map, f.restrict(m, w).map, along)
@@ -501,21 +498,11 @@ def composition_iso(psi: ContinuousMap, psi2: ContinuousMap, h: Presheaf) -> Pre
 
 def pullback_stalk_iso(psi: ContinuousMap, g: Presheaf, x: str,
                        inv: InverseImage | None = None) -> ValueMorphism:
-    """The fiber identification G_{ψ(x)} → (ψ*G)_x.
-
-    Sends a germ, represented over the minimal open at ψ(x), to the germ
-    family of that representative, restricted to the minimal open at x.
-    """
+    """The fiber identification β_x: G_{ψ(x)} → (ψ*G)_x of the pair ``inv``,
+    by default the pullback of G along ψ."""
     _require_continuous(psi)
     psi.source.require_point(x)
-    inv = inv or pullback(psi, g)
-    n = minimal_open(psi.target, psi(x))
-    out = tupling(stalk(g, psi(x)).object, stalk(inv.sheaf, x).object, {
-        z: g.restrict(minimal_open(psi.target, psi(z)), n).map
-        for z in minimal_open(psi.source, x)})
-    if not out.is_bijective():
-        raise NotInverseImagePair(f"fiber identification at {x!r} is not bijective")
-    return out
+    return _fiber_identification(inv or pullback(psi, g), x)
 
 
 def open_embedding_pullback_matches_restriction(

@@ -53,6 +53,7 @@ class GluingDatum:
     cocycle: dict[tuple[str, str], PresheafMorphism]
 
     def __post_init__(self):
+        self.cocycle = dict(self.cocycle)  # the caller's dict stays as given
         union: PointSet = frozenset()
         for lam, u in self.covering.items():
             self.space.require_open(u)

@@ -29,6 +29,8 @@ from .topology import (
     Covering,
     FiniteSpace,
     PointSet,
+    is_irreducible,
+    minimal_open,
     minimal_open_coverings,
     subspace,
 )
@@ -88,9 +90,6 @@ class Presheaf:
 
     def restrict(self, small: PointSet, large: PointSet) -> ValueMorphism:
         return self.res[(small, large)]
-
-    def section_obj(self, u: Iterable[str]) -> ValueObject:
-        return self.sections[self.space.require_open(u)]
 
 
 def presheaf_from_function(
@@ -158,9 +157,6 @@ class PresheafMorphism:
                     != composite_table(self.target.restrict(u, v), self.components[v])):
                 raise ValueMismatch(
                     f"component square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
-
-    def component(self, u: Iterable[str]) -> ValueMorphism:
-        return self.components[self.source.space.require_open(u)]
 
     def is_isomorphism(self) -> bool:
         return all(c.is_bijective() for c in self.components.values())
@@ -440,7 +436,7 @@ class BasisPresheaf:
         return _functorial(self, self.basis.sorted_members())
 
 
-def restrict_to_basis(p: Presheaf, basis: Basis) -> BasisPresheaf:
+def restrict_to_basis(p: Presheaf | BasisPresheaf, basis: Basis) -> BasisPresheaf:
     mem = basis.sorted_members()
     return BasisPresheaf(
         basis,
@@ -479,18 +475,15 @@ class BasisExtension:
         return self.limits[u].projections[open_key(u)]
 
 
-def _basis_diagram(bp: BasisPresheaf, u: PointSet) -> Diagram:
-    members = bp.basis.members_within(u)
-    names = {open_key(v): v for v in members}
+def restriction_diagram(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> Diagram:
+    """The sections of ``p`` over ``opens`` and the restrictions among them,
+    indexed by open keys ordered by inclusion."""
+    names = {open_key(v): v for v in opens}
     poset = Poset.from_pairs(
-        names.keys(),
-        [(open_key(a), open_key(b)) for a in members for b in members if a < b])
-    arrows = {
-        (i, j): bp.restrict(names[i], names[j])
-        for (i, j) in poset.pairs_below()
-    }
-    return Diagram(poset, {i: bp.sections[names[i]] for i in names}, arrows,
-                   category_hint=bp.category)
+        names.keys(), [(open_key(a), open_key(b)) for a in opens for b in opens if a < b])
+    arrows = {(i, j): p.restrict(names[i], names[j]) for (i, j) in poset.pairs_below()}
+    return Diagram(poset, {i: p.sections[names[i]] for i in names}, arrows,
+                   category_hint=p.category)
 
 
 def extend_from_basis(bp: BasisPresheaf) -> BasisExtension:
@@ -502,7 +495,8 @@ def extend_from_basis(bp: BasisPresheaf) -> BasisExtension:
     if not bp.validate():
         raise ValueMismatch("basis presheaf fails functoriality")
     space = bp.basis.space
-    limits = {u: limit(_basis_diagram(bp, u)) for u in space.opens}
+    limits = {u: limit(restriction_diagram(bp, bp.basis.members_within(u)))
+              for u in space.opens}
     sections = {u: limits[u].object for u in space.opens}
     res = {
         (u, v): tupling(sections[v], sections[u],
@@ -594,13 +588,8 @@ def nested_basis_comparison(
         raise ValueMismatch("second basis is not contained in the first")
     if not check_F0(bp).verdict:
         raise ValueMismatch("basis data fails the gluing condition")
-    sub_bp = BasisPresheaf(
-        subbasis,
-        {b: bp.sections[b] for b in subbasis.members},
-        {(u, v): bp.res[(u, v)]
-         for u in subbasis.members for v in subbasis.members if u <= v})
     big = extend_from_basis(bp)
-    small = extend_from_basis(sub_bp)
+    small = extend_from_basis(restrict_to_basis(bp, subbasis))
     zeta_comp = {}
     for w, lim in big.limits.items():
         zeta_comp[w] = z = tupling(
@@ -784,7 +773,6 @@ class SimpleCheckReport:
 def check_simple_equivalence(p: Presheaf) -> SimpleCheckReport:
     """On an irreducible space: constant ⇒ sheaf with iso unit, and
     locally simple ⇒ constant; both verified exhaustively on the instance."""
-    from .topology import is_irreducible
     from .functors import sheafify
 
     if not is_irreducible(p.space):
@@ -795,21 +783,11 @@ def check_simple_equivalence(p: Presheaf) -> SimpleCheckReport:
         sheaf_ok = is_sheaf(p)
         inv = sheafify(p)
         unit_iso = inv.unit.is_isomorphism()
-    locally = True
-    for x in sorted(p.space.points):
-        has = False
-        for u in p.space.sorted_opens():
-            if x not in u:
-                continue
-            restricted = restrict_to_open(p, u)
-            # nonempty opens of an irreducible space are irreducible, so
-            # "simple on u" reduces to "constant and a sheaf on u"
-            if is_constant_presheaf(restricted) and is_sheaf(restricted):
-                has = True
-                break
-        if not has:
-            locally = False
-            break
+    # nonempty opens of an irreducible space are irreducible, so "simple on
+    # u" is "constant and a sheaf on u"; both pass from u down to U_x ⊆ u,
+    # so x has such a u exactly when U_x is one
+    hoods = (restrict_to_open(p, minimal_open(p.space, x)) for x in sorted(p.space.points))
+    locally = all(is_constant_presheaf(r) and is_sheaf(r) for r in hoods)
     forced = None
     if locally and p.space.points:
         forced = constant

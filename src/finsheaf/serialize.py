@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .canon import canonical_json, open_key
 from .errors import CrossReferenceError, ParseError
@@ -27,9 +27,7 @@ GLUING_SCHEMA = "finsheaf.gluing/1"
 DIAGRAM_SCHEMA = "finsheaf.diagram/1"
 REPORT_SCHEMA = "finsheaf.report/1"
 
-
-def _sorted_open(u: PointSet) -> list[str]:
-    return sorted(u)
+T = TypeVar("T")
 
 
 # -- spaces -------------------------------------------------------------------
@@ -38,7 +36,7 @@ def space_to_payload(space: FiniteSpace) -> dict:
     return {
         "schema": SPACE_SCHEMA,
         "points": sorted(space.points),
-        "opens": sorted([_sorted_open(u) for u in space.opens]),
+        "opens": sorted([sorted(u) for u in space.opens]),
     }
 
 
@@ -90,21 +88,18 @@ def value_from_payload(payload, category: str) -> ValueObject:
 
 # -- presheaves ---------------------------------------------------------------
 
-def presheaf_to_payload(p: Presheaf | BasisPresheaf, inline_space: bool = True) -> dict:
+def presheaf_to_payload(p: Presheaf | BasisPresheaf) -> dict:
     if isinstance(p, BasisPresheaf):
-        space = p.basis.space
-        opens = p.basis.sorted_members()
-        pairs = [(u, v) for u in opens for v in opens if u < v]
-        payload_extra = {"basis": sorted([_sorted_open(b) for b in opens])}
+        space, opens = p.basis.space, p.basis.sorted_members()
+        payload_extra = {"basis": sorted([sorted(b) for b in opens])}
     else:
-        space = p.space
-        opens = space.sorted_opens()
-        pairs = [(u, v) for u in opens for v in opens if u < v]
+        space, opens = p.space, p.space.sorted_opens()
         payload_extra = {}
     restrictions: dict[str, dict[str, dict[str, str]]] = {}
-    for (u, v) in pairs:
-        table = p.res[(u, v)].map
-        restrictions.setdefault(open_key(v), {})[open_key(u)] = dict(table)
+    for u in opens:
+        for v in opens:
+            if u < v:
+                restrictions.setdefault(open_key(v), {})[open_key(u)] = dict(p.res[(u, v)].map)
     # non-identity self-restrictions are kept so corrupted data round-trips
     for u in opens:
         r = p.res[(u, u)].map
@@ -221,6 +216,20 @@ def morphism_tables(m: PresheafMorphism) -> dict[str, dict[str, str]]:
     }
 
 
+def _morphism_from_tables(source: Presheaf, target: Presheaf, tables: dict,
+                          kind: str, pair: str) -> PresheafMorphism:
+    """The morphism with one table per open of the source; errors name it as
+    the ``kind`` of morphism at ``pair``."""
+    comps = {}
+    for u in source.space.opens:
+        table = tables.get(open_key(u))
+        if table is None:
+            raise CrossReferenceError(f"{kind} {pair} misses open {open_key(u)!r}")
+        comps[u] = ValueMorphism(source.sections[u], target.sections[u],
+                                 dict(_table(table, f"{kind} table")))
+    return PresheafMorphism(source, target, comps)
+
+
 # -- gluing data --------------------------------------------------------------
 
 def gluing_to_payload(d: GluingDatum) -> dict:
@@ -234,15 +243,11 @@ def gluing_to_payload(d: GluingDatum) -> dict:
     for (lam, mu), th in sorted(d.cocycle.items()):
         if lam == mu:
             continue
-        tables = {
-            open_key(u): dict(th.components[u].map)
-            for u in th.source.space.sorted_opens()
-        }
-        cocycle.setdefault(lam, {})[mu] = tables
+        cocycle.setdefault(lam, {})[mu] = morphism_tables(th)
     return {
         "schema": GLUING_SCHEMA,
         "space": space_to_payload(d.space),
-        "covering": {lam: _sorted_open(u) for lam, u in d.covering.items()},
+        "covering": {lam: sorted(u) for lam, u in d.covering.items()},
         "parts": parts,
         "cocycle": cocycle,
     }
@@ -269,17 +274,9 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
             for mu, tables in _table(row, f"cocycle row {lam!r}").items():
                 tables = _table(tables, f"cocycle ({lam!r},{mu!r})")
                 overlap = covering[lam] & covering[mu]
-                src = restrict_to_open(parts[mu], overlap)
-                tgt = restrict_to_open(parts[lam], overlap)
-                comps = {}
-                for u in src.space.opens:
-                    table = tables.get(open_key(u))
-                    if table is None:
-                        raise CrossReferenceError(
-                            f"cocycle ({lam!r},{mu!r}) misses open {open_key(u)!r}")
-                    comps[u] = ValueMorphism(src.sections[u], tgt.sections[u],
-                                             dict(_table(table, "cocycle table")))
-                cocycle[(lam, mu)] = PresheafMorphism(src, tgt, comps)
+                cocycle[(lam, mu)] = _morphism_from_tables(
+                    restrict_to_open(parts[mu], overlap), restrict_to_open(parts[lam], overlap),
+                    tables, "cocycle", f"({lam!r},{mu!r})")
         return GluingDatum(space, covering, parts, cocycle)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad gluing payload: {exc}") from exc
@@ -319,22 +316,21 @@ def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
             tables = _table(row, f"arrow row {i!r}").get(j)
             if tables is None:
                 raise CrossReferenceError(f"diagram misses arrow ({i!r}, {j!r})")
-            tables = _table(tables, f"arrow ({i!r}, {j!r})")
-            comps = {}
-            for u in sheaves[j].space.opens:
-                table = tables.get(open_key(u))
-                if table is None:
-                    raise CrossReferenceError(
-                        f"arrow ({i!r},{j!r}) misses open {open_key(u)!r}")
-                comps[u] = ValueMorphism(sheaves[j].sections[u], sheaves[i].sections[u],
-                                         dict(_table(table, "arrow table")))
-            arrows[(i, j)] = PresheafMorphism(sheaves[j], sheaves[i], comps)
+            arrows[(i, j)] = _morphism_from_tables(
+                sheaves[j], sheaves[i], _table(tables, f"arrow ({i!r}, {j!r})"),
+                "arrow", f"({i!r},{j!r})")
         return SheafDiagram(poset, sheaves, arrows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad diagram payload: {exc}") from exc
 
 
 # -- file helpers ---------------------------------------------------------------
+
+def load_file(path: str, reader: Callable[[dict, str], T]) -> T:
+    """``reader`` applied to the JSON document at ``path``; file references
+    inside it resolve against the directory of ``path``."""
+    return reader(load_json(path), os.path.dirname(path) or ".")
+
 
 def load_json(path: str) -> dict:
     try:

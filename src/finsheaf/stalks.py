@@ -13,17 +13,9 @@ from dataclasses import dataclass
 
 from .canon import open_key, open_of_key
 from .errors import NotASection, UnknownPoint, WrongCategory
-from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism
+from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism, restriction_diagram
 from .topology import Basis, PointSet, minimal_open
-from .values import (
-    ColimitResult,
-    Diagram,
-    FINAB,
-    Poset,
-    ValueMorphism,
-    ValueObject,
-    filtered_colimit,
-)
+from .values import ColimitResult, FINAB, ValueMorphism, ValueObject, filtered_colimit
 
 
 @dataclass
@@ -65,17 +57,8 @@ def _neighborhood_colimit(p: Presheaf | BasisPresheaf, x: str, hoods: list[Point
     The neighborhoods are ordered by inclusion; they are down-directed
     because each contains the minimal open of x.
     """
-    names = {open_key(u): u for u in hoods}
-    poset = Poset.from_pairs(
-        names.keys(),
-        [(open_key(u), open_key(v)) for u in hoods for v in hoods if u < v])
-    arrows = {
-        (i, j): p.restrict(names[i], names[j])
-        for (i, j) in poset.pairs_below()
-    }
-    diagram = Diagram(poset, {k: p.sections[v] for k, v in names.items()}, arrows)
-    colim = filtered_colimit(diagram)
-    canonical = {names[k]: colim.injections[k] for k in names}
+    colim = filtered_colimit(restriction_diagram(p, hoods))
+    canonical = {open_of_key(k): inj for k, inj in colim.injections.items()}
     return Stalk(x, colim.object, canonical), colim
 
 

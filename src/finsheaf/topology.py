@@ -102,9 +102,6 @@ class FiniteSpace:
         """All pairs (u, v) of opens with u ⊆ v, in sorted order."""
         return self._inclusion_pairs
 
-    def is_open(self, u: Iterable[str]) -> bool:
-        return _as_open(u) in self.opens
-
     def require_open(self, u: Iterable[str]) -> PointSet:
         su = _as_open(u)
         if su not in self.opens:

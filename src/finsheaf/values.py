@@ -148,6 +148,9 @@ class ValueMorphism:
                 raise ValueError(f"map not total: missing {a!r}")
             if self.map[a] not in self.target.elements:
                 raise ValueError(f"image {self.map[a]!r} not in target")
+        if len(self.map) != len(self.source.elements):
+            extra = sorted(set(self.map) - set(self.source.elements))
+            raise ValueError(f"map has keys outside its source: {extra!r}")
         if self.source.category == FINAB:
             add_s, add_t = self.source.add, self.target.add
             for a, b in product(self.source.elements, repeat=2):

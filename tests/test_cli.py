@@ -320,6 +320,14 @@ class TestMalformedTables:
         path = self.write_presheaf(tmp_path, "sierp_sheaf.presheaf.json", restrictions=[])
         self.assert_parse_error(["check-sheaf", "--presheaf", path], capsys)
 
+    def test_restriction_key_outside_its_source(self, tmp_path, capsys):
+        # once read "functorial: false" from validate (exit 1)
+        path = self.write_presheaf(tmp_path, "sierp_sheaf.presheaf.json", restrictions={
+            "0,1": {"": {"s": "*", "t": "*"}, "1": {"s": "u", "t": "u", "zz": "u"}},
+            "1": {"": {"u": "*"}}})
+        for verb in ("validate", "check-sheaf"):
+            self.assert_parse_error([verb, "--presheaf", path], capsys)
+
     def test_finset_section_given_as_a_string(self, tmp_path, capsys):
         # "st" must not be read as the set {s, t}
         path = self.write_presheaf(tmp_path, "sierp_sheaf.presheaf.json", sections={

@@ -40,19 +40,23 @@ from finsheaf.presheaf import (
     constant_presheaf,
     enumerate_presheaf_morphisms,
     identity_morphism,
+    is_sheaf,
     morphisms_equal,
     presheaf_from_function,
     presheaves_equal,
     restrict_to_open,
 )
+from finsheaf.oracles import enumerate_presheaves, enumerate_topologies
 from finsheaf.stalks import stalk, support
 from finsheaf.topology import (
+    Basis,
     ContinuousMap,
+    check_continuous,
     compose_maps,
     identity_map,
     minimal_open,
 )
-from finsheaf.values import FINSET, ValueMorphism, compose, cyclic_group, finset
+from finsheaf.values import FINSET, ValueMorphism, compose, cyclic_group, finset, tupling
 
 PT_WHOLE = frozenset({"p"})
 S_WHOLE = frozenset({"0", "1"})
@@ -203,7 +207,59 @@ def family_of_psi_morphism(u: PsiMorphism):
     return fam
 
 
+def full_path_reference(psi, g, f, family) -> PresheafMorphism:
+    """The former all-pairs path: the body read off as u_V = u_{ψ⁻¹V, V}."""
+    return PresheafMorphism(g, pushforward(psi, f),
+                            {v: family[(psi.preimage(v), v)] for v in psi.target.opens})
+
+
 class TestPsiMorphismFromFamily:
+    def test_all_pairs_match_the_full_path_reference(self, disc2, pt, pc4):
+        two = finset(["0", "1"])
+        cases = [
+            (fx.disc2_to_pt(), fx.constant_two(pt), fx.locally_constant_sheaf(disc2, two)),
+            (fx.pc4_to_sierp(), fx.sierp_two_section_sheaf(),
+             fx.locally_constant_sheaf(pc4, two)),
+            (fx.sierp_to_pt(), fx.constant_two(pt), fx.sierp_two_section_sheaf()),
+        ]
+        checked = 0
+        for psi, g, f in cases:
+            for body in enumerate_presheaf_morphisms(g, pushforward(psi, f)):
+                family = family_of_psi_morphism(PsiMorphism(psi, g, f, body))
+                rebuilt = psi_morphism_from_family(psi, g, f, family)
+                assert morphisms_equal(rebuilt.body, full_path_reference(psi, g, f, family))
+                checked += 1
+        assert checked == 22
+
+    def test_basis_family_on_a_non_sheaf_glues_when_unique(self, disc2, disc2_basis,
+                                                            g2_failure):
+        # G2 fails, but G1 holds: each section is fixed by its basis restrictions
+        psi = identity_map(disc2)
+        ident = PsiMorphism(psi, g2_failure, g2_failure, identity_morphism(g2_failure))
+        members = disc2_basis.members
+        family = {(w, v): m for (w, v), m in family_of_psi_morphism(ident).items()
+                  if w in members and v in members}
+        rebuilt = psi_morphism_from_family(psi, g2_failure, g2_failure, family,
+                                           bases=(disc2_basis, disc2_basis))
+        assert morphisms_equal(rebuilt.body, ident.body)
+
+    def test_basis_family_that_glues_twice_rejected(self, disc2, disc2_basis):
+        # two global sections with equal restrictions: G1 fails
+        two_over_whole = presheaf_from_function(
+            disc2, FINSET,
+            lambda u: finset(["a", "b"] if u == D_WHOLE else ["*"]),
+            lambda u, v: {a: a if u == v else "*"
+                          for a in (["a", "b"] if v == D_WHOLE else ["*"])})
+        psi = identity_map(disc2)
+        ident = PsiMorphism(psi, two_over_whole, two_over_whole,
+                            identity_morphism(two_over_whole))
+        members = disc2_basis.members
+        family = {(w, v): m for (w, v), m in family_of_psi_morphism(ident).items()
+                  if w in members and v in members}
+        with pytest.raises(IncompatibleFamily, match="2 candidates"):
+            psi_morphism_from_family(psi, two_over_whole, two_over_whole, family,
+                                     bases=(disc2_basis, disc2_basis))
+
     def test_round_trip(self, disc2, pt):
         psi = fx.disc2_to_pt()
         g = constant_presheaf(pt, finset(["g0", "g1"]))
@@ -559,7 +615,46 @@ class TestCompositionIso:
         assert zeta.is_isomorphism()
 
 
+def stalk_iso_tupling_reference(psi, g, x, inv) -> ValueMorphism:
+    """The former tupling: a germ over V_ψ(x) to its germ family on U_x."""
+    n = minimal_open(psi.target, psi(x))
+    return tupling(stalk(g, psi(x)).object, stalk(inv.sheaf, x).object, {
+        z: g.restrict(minimal_open(psi.target, psi(z)), n).map
+        for z in minimal_open(psi.source, x)})
+
+
 class TestPullbackStalkIso:
+    def test_matches_the_tupling_reference_from_three_to_two_points(self):
+        sources = enumerate_topologies(["a", "b", "c"])
+        checked = 0
+        for y in enumerate_topologies(["p", "q"]):
+            sheaves = [g for g in enumerate_presheaves(y) if is_sheaf(g)]
+            for x_space in sources:
+                for img in iproduct(["p", "q"], repeat=3):
+                    psi = ContinuousMap(x_space, y, dict(zip(["a", "b", "c"], img)))
+                    if not check_continuous(psi):
+                        continue
+                    for g in sheaves:
+                        inv = pullback(psi, g)
+                        for x in sorted(x_space.points):
+                            assert (pullback_stalk_iso(psi, g, x, inv)
+                                    == stalk_iso_tupling_reference(psi, g, x, inv))
+                            checked += 1
+        assert checked == 13128
+
+    def test_hand_assembled_pair(self, sierp_sheaf, sierp):
+        # pullback along an open inclusion, realised as plain restriction
+        j = fx.open_point_into_sierp()
+        u_points = frozenset(j.assignment.values())
+        restricted = restrict_to_open(sierp_sheaf, u_points)
+        unit = PresheafMorphism(sierp_sheaf, pushforward(j, restricted), {
+            v: sierp_sheaf.restrict(v & u_points, v) for v in sierp.opens})
+        inv = InverseImage(j, sierp_sheaf, restricted, unit)
+        for x in j.source.points:
+            iso = pullback_stalk_iso(j, sierp_sheaf, x, inv)
+            assert iso.is_bijective()
+            assert iso.target == restricted.sections[minimal_open(j.source, x)]
+
     def test_identity_on_sheaf(self, sierp_sheaf, sierp):
         psi = identity_map(sierp)
         inv = pullback(psi, sierp_sheaf)

@@ -121,6 +121,27 @@ class TestCocycle:
         assert triples  # at least one violating triple is named
 
 
+class TestDatumKeepsItsInput:
+    def test_caller_cocycle_dict_unchanged(self, pc4):
+        d = pc4_datum(pc4, twisted=True)
+        given = {("1", "2"): d.cocycle[("1", "2")]}
+        GluingDatum(pc4, d.covering, d.parts, given)
+        assert given == {("1", "2"): d.cocycle[("1", "2")]}
+
+    def test_second_datum_from_the_same_dict(self, pc4):
+        d = pc4_datum(pc4, twisted=True)
+        given = {("1", "2"): d.cocycle[("1", "2")]}
+        first = GluingDatum(pc4, d.covering, d.parts, given)
+        # equal parts, but other objects: the identities must be on these
+        other = {lam: restrict_to_open(fx.locally_constant_sheaf(pc4, finset(["0", "1"])), u)
+                 for lam, u in d.covering.items()}
+        second = GluingDatum(pc4, d.covering, other, given)
+        for lam in d.covering:
+            assert first.cocycle[(lam, lam)].source is d.parts[lam]
+            assert second.cocycle[(lam, lam)].source is other[lam]
+        assert morphisms_equal(second.cocycle[("2", "1")], first.cocycle[("2", "1")])
+
+
 class TestGlue:
     def test_identity_cocycle_round_trip(self, pc4):
         sheaf = fx.locally_constant_sheaf(pc4, finset(["0", "1"]))

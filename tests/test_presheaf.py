@@ -52,6 +52,7 @@ from finsheaf.topology import (
     FiniteSpace,
     antichain_coverings,
     enumerate_antichain_coverings,
+    is_irreducible,
     minimal_open,
 )
 from finsheaf.values import (
@@ -706,6 +707,27 @@ class TestConstantAndSimple:
         assert report.is_constant is False
         assert report.locally_simple is False
         assert report.verdict is True
+
+    def test_locally_simple_matches_the_all_opens_reference(self):
+        def reference(p) -> bool:
+            """The former scan: each point has some open on which p is simple."""
+            return all(
+                any(is_constant_presheaf(r) and is_sheaf(r)
+                    for r in (restrict_to_open(p, u) for u in p.space.sorted_opens() if x in u))
+                for x in sorted(p.space.points))
+
+        checked = simple = 0
+        for points in (["a"], ["a", "b"], ["a", "b", "c"]):
+            for space in enumerate_topologies(points):
+                if not is_irreducible(space):
+                    continue
+                for p in enumerate_presheaves(space):
+                    locally = check_simple_equivalence(p).locally_simple
+                    assert locally == reference(p)
+                    checked += 1
+                    simple += locally
+        assert checked == 5146
+        assert 0 < simple < checked
 
 
 class TestEnumeratePresheafMorphisms:

@@ -30,6 +30,14 @@ from finsheaf.values import (
 )
 
 
+class TestValueMorphism:
+    def test_keys_outside_the_source_rejected(self):
+        # without the check, is_bijective would count the image of "zz"
+        with pytest.raises(ValueError, match="outside its source"):
+            ValueMorphism(finset(["a", "b"]), finset(["x", "y"]),
+                          {"a": "x", "b": "x", "zz": "y"})
+
+
 class TestGroupTables:
     def test_cyclic_group_is_valid(self):
         z4 = cyclic_group(4)

@@ -3,6 +3,10 @@
 Checker operations never raise for *mathematical* failures (a presheaf
 failing the gluing axiom is report data, not an error); exceptions are
 reserved for malformed inputs and violated preconditions.
+
+The errors for malformed spaces, coverings, value objects and value maps
+also derive from ``ValueError``: the file readers turn those into
+``ParseError``, and callers that caught ``ValueError`` keep working.
 """
 
 
@@ -28,7 +32,31 @@ class NotContinuous(FinsheafError):
     pass
 
 
+class MalformedSpace(FinsheafError, ValueError):
+    """Point labels or opens that do not form a topology or a basis."""
+
+
+class MalformedCovering(FinsheafError, ValueError):
+    pass
+
+
+class NotComposable(FinsheafError, ValueError):
+    """The inner map's target is not the outer map's source."""
+
+
 # -- value categories ------------------------------------------------------
+
+class MalformedValue(FinsheafError, ValueError):
+    """A finite set or group table that breaks the axioms of its category."""
+
+
+class NotAMorphism(FinsheafError, ValueError):
+    """A table that is not a map, or not a homomorphism, between its ends."""
+
+
+class NotInvertible(FinsheafError, ValueError):
+    pass
+
 
 class MixedCategories(FinsheafError):
     pass

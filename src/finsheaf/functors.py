@@ -52,6 +52,7 @@ from .values import (
     family_label,
     family_object,
     tupling,
+    unique_lifts,
 )
 
 
@@ -153,7 +154,8 @@ def psi_morphism_from_family(
     basis of Y), or without it all pairs of opens.  The component at W sends
     s to the one section of F(ψ⁻¹W) whose restriction to each U is
     u_{U,V}(s|V), over the pairs with V ⊆ W; with all opens the pair
-    (ψ⁻¹W, W) forces it to u_{ψ⁻¹W,W}(s).
+    (ψ⁻¹W, W) forces it to u_{ψ⁻¹W,W}(s).  F is functorial, so a family that
+    glues at every W is natural; no square is checked on its own.
     """
     _require_continuous(psi)
     if bases is None:
@@ -169,33 +171,16 @@ def psi_morphism_from_family(
         if family[(u, v)].source != g.sections[v] or family[(u, v)].target != f.sections[u]:
             raise IncompatibleFamily(
                 f"family map at ({open_key(u)!r}, {open_key(v)!r}) connects wrong objects")
-    for (u, v) in pairs:
-        for (u2, v2) in pairs:
-            # (U2,V2) below (U,V): restrict after vs before
-            if u2 <= u and v2 <= v and (
-                    composite_table(f.restrict(u2, u), family[(u, v)])
-                    != composite_table(family[(u2, v2)], g.restrict(v2, v))):
-                raise IncompatibleFamily(
-                    f"square fails at ({open_key(u)!r},{open_key(v)!r}) ⊇ "
-                    f"({open_key(u2)!r},{open_key(v2)!r})")
     pf = pushforward(psi, f)
     components = {}
     for w in psi.target.sorted_opens():
         pw = psi.preimage(w)
-        legs = [(f.restrict(u, pw).map, family[(u, v)].map, g.restrict(v, w).map)
+        legs = [(f.restrict(u, pw).map, composite_table(family[(u, v)], g.restrict(v, w)))
                 for (u, v) in pairs if v <= w]
-        # the sections of F(ψ⁻¹W) by their restrictions along the legs
-        sections_with: dict[tuple, list[str]] = {}
-        for t in f.sections[pw].elements:
-            sections_with.setdefault(tuple(ft[t] for ft, _, _ in legs), []).append(t)
-        table = {}
-        for s in g.sections[w].elements:
-            candidates = sections_with.get(tuple(uv[gs[s]] for _, uv, gs in legs), [])
-            if len(candidates) != 1:
-                raise IncompatibleFamily(
-                    f"family does not glue at {open_key(w)!r}: "
-                    f"{len(candidates)} candidates for {s!r}")
-            table[s] = candidates[0]
+        table = unique_lifts(
+            g.sections[w].elements, f.sections[pw].elements, legs,
+            lambda s, n: IncompatibleFamily(
+                f"family does not glue at {open_key(w)!r}: {n} candidates for {s!r}"))
         components[w] = ValueMorphism(g.sections[w], pf.sections[w], table)
     return PsiMorphism(psi, g, f, PresheafMorphism(g, pf, components))
 
@@ -354,18 +339,12 @@ def _sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
                         for g, germ in _fiber_identification(inv, x).map.items()})
     components = {}
     for w in x_space.sorted_opens():
-        legs = [(h.restrict(m, w).map, f.restrict(m, w).map, along)
+        legs = [(f.restrict(m, w).map, {s: along[r] for s, r in h.restrict(m, w).map.items()})
                 for m, along in (carry[x] for x in sorted(w))]
-        f_germs = {t: tuple(fg[t] for _, fg, _ in legs) for t in f.sections[w].elements}
-        table = {}
-        for s in h.sections[w].elements:
-            wanted = tuple(along[hg[s]] for hg, _, along in legs)
-            candidates = [t for t, germs in f_germs.items() if germs == wanted]
-            if len(candidates) != 1:
-                raise NotInverseImagePair(
-                    f"transported germs over {open_key(w)!r} match "
-                    f"{len(candidates)} sections")
-            table[s] = candidates[0]
+        table = unique_lifts(
+            h.sections[w].elements, f.sections[w].elements, legs,
+            lambda s, n: NotInverseImagePair(
+                f"transported germs over {open_key(w)!r} match {n} sections"))
         components[w] = ValueMorphism(h.sections[w], f.sections[w], table)
     return PresheafMorphism(h, f, components)
 

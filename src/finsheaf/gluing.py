@@ -34,7 +34,7 @@ from .presheaf import (
     restrict_to_open,
 )
 from .topology import Basis, FiniteSpace, PointSet, subspace
-from .values import composite_table, compose, tupling
+from .values import composite_table, compose, is_identity, tupling
 
 
 @dataclass
@@ -108,8 +108,8 @@ def check_cocycle(d: GluingDatum) -> CocycleReport:
                 continue
             if not th.is_isomorphism():
                 violations.append({"pair": [lam, mu], "kind": "NotIso"})
-            if lam == mu and not composites_agree(
-                    [th], [identity_morphism(d.parts[lam])], th.source.space.opens):
+            if lam == mu and not all(is_identity(th.components[w], th.source.sections[w])
+                                     for w in th.source.space.opens):
                 violations.append({"pair": [lam, mu], "kind": "NotIdentity"})
     for lam in idx:
         for mu in idx:

@@ -47,7 +47,9 @@ from .values import (
     cyclic_group,
     enumerate_morphisms,
     finset,
+    first_bad_composite,
     identity,
+    is_identity,
     limit,
     singleton,
     tupling,
@@ -153,8 +155,7 @@ class PresheafMorphism:
             if c.source != self.source.sections[u] or c.target != self.target.sections[u]:
                 raise ValueMismatch(f"component at {open_key(u)!r} connects wrong objects")
         for u, v in self.source.inclusion_pairs():
-            if (composite_table(self.components[u], self.source.restrict(u, v))
-                    != composite_table(self.target.restrict(u, v), self.components[v])):
+            if not _natural_at(self.source, self.target, self.components, u, v):
                 raise ValueMismatch(
                     f"component square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
 
@@ -170,6 +171,13 @@ class PresheafMorphism:
         """Canonical label used to key Hom-set tables."""
         return mapping_label(
             {open_key(u): mapping_label(c.map) for u, c in self.components.items()})
+
+
+def _natural_at(p: Presheaf | BasisPresheaf, q: Presheaf | BasisPresheaf,
+                components: Mapping[PointSet, ValueMorphism], u: PointSet, v: PointSet) -> bool:
+    """Whether ``components`` from p to q commute with the restrictions at u ⊆ v."""
+    return (composite_table(components[u], p.restrict(u, v))
+            == composite_table(q.restrict(u, v), components[v]))
 
 
 def identity_morphism(p: Presheaf) -> PresheafMorphism:
@@ -215,26 +223,11 @@ def presheaves_equal(p: Presheaf, q: Presheaf) -> bool:
     return p is q or (p.space == q.space and is_restriction(p, q, q.space.points))
 
 
-def _functorial(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> bool:
-    """Identity and composition laws for the restrictions among ``opens``."""
-    for u in opens:
-        if p.restrict(u, u).map != identity(p.sections[u]).map:
-            return False
-    for u in opens:
-        for v in opens:
-            if not u <= v:
-                continue
-            for w in opens:
-                if not v <= w:
-                    continue
-                if p.restrict(u, w).map != composite_table(p.restrict(u, v), p.restrict(v, w)):
-                    return False
-    return True
-
-
 def validate_presheaf(p: Presheaf) -> bool:
     """Identity and composition laws for the restriction morphisms."""
-    return _functorial(p, p.space.sorted_opens())
+    return (all(is_identity(p.res[(u, u)], p.sections[u]) for u in p.space.opens)
+            and first_bad_composite([(u, v) for u, v in p.inclusion_pairs() if u != v],
+                                    p.res) is None)
 
 
 @dataclass
@@ -433,7 +426,9 @@ class BasisPresheaf:
         return self.res[(small, large)]
 
     def validate(self) -> bool:
-        return _functorial(self, self.basis.sorted_members())
+        return (all(is_identity(self.res[(b, b)], self.sections[b]) for b in self.basis.members)
+                and first_bad_composite([(u, v) for u, v in self.basis_pairs() if u != v],
+                                        self.res) is None)
 
 
 def restrict_to_basis(p: Presheaf | BasisPresheaf, basis: Basis) -> BasisPresheaf:
@@ -479,8 +474,9 @@ def restriction_diagram(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> D
     """The sections of ``p`` over ``opens`` and the restrictions among them,
     indexed by open keys ordered by inclusion."""
     names = {open_key(v): v for v in opens}
-    poset = Poset.from_pairs(
-        names.keys(), [(open_key(a), open_key(b)) for a in opens for b in opens if a < b])
+    # inclusion is already a partial order: no closure or antisymmetry scan
+    poset = Poset(tuple(sorted(names)), frozenset(
+        (open_key(a), open_key(b)) for a in opens for b in opens if a <= b))
     arrows = {(i, j): p.restrict(names[i], names[j]) for (i, j) in poset.pairs_below()}
     return Diagram(poset, {i: p.sections[names[i]] for i in names}, arrows,
                    category_hint=p.category)
@@ -523,8 +519,7 @@ def extend_morphism_from_basis(
         if components[b].source != bs.sections[b] or components[b].target != bt.sections[b]:
             raise IncompatibleFamily(f"family map at {open_key(b)!r} connects wrong objects")
     for u, v in bs.basis_pairs():
-        if (composite_table(components[u], bs.restrict(u, v))
-                != composite_table(bt.restrict(u, v), components[v])):
+        if not _natural_at(bs, bt, components, u, v):
             raise IncompatibleFamily(
                 f"family square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
     out = {}
@@ -708,6 +703,9 @@ def enumerate_presheaf_morphisms(p: Presheaf, q: Presheaf,
     if p.space != q.space:
         raise ValueMismatch("presheaves live on different spaces")
     opens = p.space.sorted_opens()
+    # per open, the squares it closes with itself and the opens chosen before it
+    squares = [[(v, u) if v <= u else (u, v) for v in opens[:i + 1] if v <= u or u <= v]
+               for i, u in enumerate(opens)]
     per_open = {}
     total = 1
     for u in opens:
@@ -724,25 +722,13 @@ def enumerate_presheaf_morphisms(p: Presheaf, q: Presheaf,
             return
         u = opens[i]
         for cand in per_open[u]:
-            ok = True
-            for v in opens[:i + 1]:
-                if v <= u:
-                    small = chosen.get(v, cand if v == u else None)
-                    if small is None:
-                        continue
-                    if (composite_table(small, p.restrict(v, u))
-                            != composite_table(q.restrict(v, u), cand)):
-                        ok = False
-                        break
-                elif u <= v:
-                    if (composite_table(cand, p.restrict(u, v))
-                            != composite_table(q.restrict(u, v), chosen[v])):
-                        ok = False
-                        break
-            if ok:
-                chosen[u] = cand
+            chosen[u] = cand
+            for a, b in squares[i]:
+                if not _natural_at(p, q, chosen, a, b):
+                    break
+            else:
                 extend(i + 1, chosen)
-                del chosen[u]
+        chosen.pop(u, None)
 
     extend(0, {})
     return out

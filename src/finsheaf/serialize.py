@@ -154,9 +154,11 @@ def presheaf_from_payload(payload: dict, base_dir: str = ".") -> Presheaf | Basi
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad basis: {exc}") from exc
         opens = sorted(members, key=lambda u: tuple(sorted(u)))
+        what = "basis member"
     else:
         basis = None
         opens = space.sorted_opens()
+        what = "open"
 
     sections: dict[PointSet, ValueObject] = {}
     for u in opens:
@@ -182,6 +184,18 @@ def presheaf_from_payload(payload: dict, base_dir: str = ".") -> Presheaf | Basi
             except (ValueError, KeyError, TypeError) as exc:
                 raise ParseError(
                     f"bad restriction {open_key(v)!r} -> {open_key(u)!r}: {exc}") from exc
+    # a key that names nothing would be dropped silently
+    known = {open_key(u): u for u in opens}
+    for key in raw_sections:
+        if key not in known:
+            raise ParseError(f"sections key {key!r} names no {what}")
+    for large, row in raw_restrictions.items():
+        if large not in known:
+            raise ParseError(f"restrictions key {large!r} names no {what}")
+        for small in row:
+            if not (small in known and known[small] <= known[large]):
+                raise ParseError(
+                    f"restriction {large!r} -> {small!r} names no inclusion of {what}s")
     if basis is not None:
         return BasisPresheaf(basis, sections, res)
     return Presheaf(space, category, sections, res)

@@ -21,7 +21,10 @@ from typing import Iterable, Mapping
 from .canon import open_key, sort_opens
 from .errors import (
     GeneratorsDoNotCover,
+    MalformedCovering,
+    MalformedSpace,
     NotAnOpen,
+    NotComposable,
     NotContinuous,
     UnknownPoint,
 )
@@ -35,7 +38,7 @@ def _as_open(members: Iterable[str]) -> PointSet:
 
 def _check_label(label: str) -> str:
     if not isinstance(label, str) or label == "" or "," in label:
-        raise ValueError(f"point labels must be nonempty strings without commas: {label!r}")
+        raise MalformedSpace(f"point labels must be nonempty strings without commas: {label!r}")
     return label
 
 
@@ -71,15 +74,15 @@ class FiniteSpace:
             if not u <= self.points:
                 raise UnknownPoint(f"open {set(u)} contains points outside the space")
         if frozenset() not in self.opens:
-            raise ValueError("topology must contain the empty set")
+            raise MalformedSpace("topology must contain the empty set")
         if self.points not in self.opens:
-            raise ValueError("topology must contain the full point set")
+            raise MalformedSpace("topology must contain the full point set")
         for a in self.opens:
             for b in self.opens:
                 if a | b not in self.opens:
-                    raise ValueError(f"opens not closed under union: {set(a)} ∪ {set(b)}")
+                    raise MalformedSpace(f"opens not closed under union: {set(a)} ∪ {set(b)}")
                 if a & b not in self.opens:
-                    raise ValueError(f"opens not closed under intersection: {set(a)} ∩ {set(b)}")
+                    raise MalformedSpace(f"opens not closed under intersection: {set(a)} ∩ {set(b)}")
 
     # vv Equality is extensional: same points, same opens.
     def __eq__(self, other) -> bool:
@@ -146,7 +149,7 @@ class Basis:
         for u in self.space.opens:
             inside = [b for b in self.members if b <= u]
             if frozenset().union(*inside) != u:
-                raise ValueError(f"open {open_key(u)!r} is not a union of basis members")
+                raise MalformedSpace(f"open {open_key(u)!r} is not a union of basis members")
 
     def sorted_members(self) -> list[PointSet]:
         return sort_opens(self.members)
@@ -171,10 +174,10 @@ class Covering:
         union: PointSet = frozenset()
         for p in self.parts:
             if not p <= self.target:
-                raise ValueError("covering part not contained in target")
+                raise MalformedCovering("covering part not contained in target")
             union = union | p
         if union != self.target:
-            raise ValueError("covering parts do not cover the target")
+            raise MalformedCovering("covering parts do not cover the target")
 
     def key(self) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(sorted(p)) for p in self.parts)
@@ -194,6 +197,9 @@ class ContinuousMap:
                 raise UnknownPoint(f"assignment missing source point {x!r}")
             if self.assignment[x] not in self.target.points:
                 raise UnknownPoint(f"image {self.assignment[x]!r} not in target space")
+        if len(self.assignment) != len(self.source.points):
+            extra = sorted(set(self.assignment) - self.source.points)
+            raise UnknownPoint(f"assignment names points outside the source: {extra!r}")
 
     def __call__(self, x: str) -> str:
         return self.assignment[self.source.require_point(x)]
@@ -213,7 +219,7 @@ def identity_map(space: FiniteSpace) -> ContinuousMap:
 def compose_maps(outer: ContinuousMap, inner: ContinuousMap) -> ContinuousMap:
     """The composite ``outer ∘ inner``; sources and targets must chain."""
     if inner.target != outer.source:
-        raise ValueError("maps do not compose: inner target differs from outer source")
+        raise NotComposable("maps do not compose: inner target differs from outer source")
     return ContinuousMap(
         inner.source, outer.target,
         {x: outer.assignment[inner.assignment[x]] for x in inner.source.points},

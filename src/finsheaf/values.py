@@ -16,15 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .canon import pair_label
 from .errors import (
     CapExceeded,
     IncompatibleCone,
     MalformedDiagram,
+    MalformedValue,
     MixedCategories,
+    NotAMorphism,
+    NotComposable,
     NotFiltered,
+    NotInvertible,
 )
 
 FINSET = "FinSet"
@@ -44,42 +48,45 @@ class ValueObject:
     def __post_init__(self):
         self.elements = tuple(sorted(self.elements))
         if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate element labels")
+            raise MalformedValue("duplicate element labels")
         if self.category == FINSET:
             if self.add is not None or self.zero is not None:
-                raise ValueError("FinSet objects carry no group structure")
+                raise MalformedValue("FinSet objects carry no group structure")
         elif self.category == FINAB:
             self._check_group()
         else:
-            raise ValueError(f"unknown category {self.category!r}")
+            raise MalformedValue(f"unknown category {self.category!r}")
 
     def _check_group(self) -> None:
         elems = self.elements
         if self.zero is None or self.add is None:
-            raise ValueError("FinAb objects need zero and add table")
+            raise MalformedValue("FinAb objects need zero and add table")
         if self.zero not in elems:
-            raise ValueError("zero is not an element")
+            raise MalformedValue("zero is not an element")
         for a, b in product(elems, repeat=2):
             if (a, b) not in self.add or self.add[(a, b)] not in elems:
-                raise ValueError(f"add table not total at ({a!r}, {b!r})")
+                raise MalformedValue(f"add table not total at ({a!r}, {b!r})")
             if self.add[(a, b)] != self.add[(b, a)]:
-                raise ValueError(f"not commutative at ({a!r}, {b!r})")
+                raise MalformedValue(f"not commutative at ({a!r}, {b!r})")
+        if len(self.add) != len(elems) ** 2:
+            extra = sorted(set(self.add) - set(product(elems, repeat=2)))
+            raise MalformedValue(f"add table has keys outside its elements: {extra!r}")
         for a in elems:
             if self.add[(a, self.zero)] != a:
-                raise ValueError(f"{self.zero!r} is not an identity for {a!r}")
+                raise MalformedValue(f"{self.zero!r} is not an identity for {a!r}")
         if self.neg is None:
             self.neg = {}
             for a in elems:
                 inverses = [b for b in elems if self.add[(a, b)] == self.zero]
                 if not inverses:
-                    raise ValueError(f"no inverse for {a!r}")
+                    raise MalformedValue(f"no inverse for {a!r}")
                 self.neg[a] = inverses[0]
         for a in elems:
             if self.add[(a, self.neg[a])] != self.zero:
-                raise ValueError(f"neg table wrong at {a!r}")
+                raise MalformedValue(f"neg table wrong at {a!r}")
         for a, b, c in product(elems, repeat=3):
             if self.add[(self.add[(a, b)], c)] != self.add[(a, self.add[(b, c)])]:
-                raise ValueError(f"not associative at ({a!r}, {b!r}, {c!r})")
+                raise MalformedValue(f"not associative at ({a!r}, {b!r}, {c!r})")
 
     def __contains__(self, label: str) -> bool:
         return label in self.elements
@@ -111,7 +118,7 @@ def singleton(label: str = "*") -> ValueObject:
 def cyclic_group(n: int) -> ValueObject:
     """Z/n with elements "0".."n-1" under addition mod n."""
     if n < 1:
-        raise ValueError("cyclic group order must be >= 1")
+        raise MalformedValue("cyclic group order must be >= 1")
     labels = [str(i) for i in range(n)]
     add = {(str(a), str(b)): str((a + b) % n) for a in range(n) for b in range(n)}
     return ValueObject(FINAB, tuple(labels), add=add, zero="0")
@@ -127,8 +134,22 @@ def terminal_object(category: str) -> ValueObject:
 
 def group_from_triples(elements: Iterable[str], triples: Iterable[Sequence[str]],
                        zero: str) -> ValueObject:
-    add = {(x, y): z for x, y, z in triples}
+    add = {}
+    for x, y, z in triples:
+        if (x, y) in add:
+            raise MalformedValue(f"add table repeats ({x!r}, {y!r})")
+        add[(x, y)] = z
     return ValueObject(FINAB, tuple(elements), add=add, zero=zero)
+
+
+def first_bad_sum(source: ValueObject, target: ValueObject,
+                  table: Mapping[str, str]) -> tuple[str, str] | None:
+    """The first (a, b) with f(a + b) ≠ f(a) + f(b), for a table f between groups."""
+    add_s, add_t = source.add, target.add
+    for a, b in product(source.elements, repeat=2):
+        if table[add_s[(a, b)]] != add_t[(table[a], table[b])]:
+            return a, b
+    return None
 
 
 @dataclass
@@ -145,17 +166,15 @@ class ValueMorphism:
                 f"{self.source.category} -> {self.target.category}")
         for a in self.source.elements:
             if a not in self.map:
-                raise ValueError(f"map not total: missing {a!r}")
+                raise NotAMorphism(f"map not total: missing {a!r}")
             if self.map[a] not in self.target.elements:
-                raise ValueError(f"image {self.map[a]!r} not in target")
+                raise NotAMorphism(f"image {self.map[a]!r} not in target")
         if len(self.map) != len(self.source.elements):
             extra = sorted(set(self.map) - set(self.source.elements))
-            raise ValueError(f"map has keys outside its source: {extra!r}")
+            raise NotAMorphism(f"map has keys outside its source: {extra!r}")
         if self.source.category == FINAB:
-            add_s, add_t = self.source.add, self.target.add
-            for a, b in product(self.source.elements, repeat=2):
-                if self.map[add_s[(a, b)]] != add_t[(self.map[a], self.map[b])]:
-                    raise ValueError(f"not a homomorphism at ({a!r}, {b!r})")
+            if (bad := first_bad_sum(self.source, self.target, self.map)) is not None:
+                raise NotAMorphism(f"not a homomorphism at ({bad[0]!r}, {bad[1]!r})")
 
     def __call__(self, label: str) -> str:
         return self.map[label]
@@ -174,7 +193,7 @@ class ValueMorphism:
 
     def inverse(self) -> "ValueMorphism":
         if not self.is_bijective():
-            raise ValueError("morphism is not bijective")
+            raise NotInvertible("morphism is not bijective")
         return ValueMorphism(self.target, self.source, {v: k for k, v in self.map.items()})
 
 
@@ -182,16 +201,37 @@ def identity(obj: ValueObject) -> ValueMorphism:
     return ValueMorphism(obj, obj, {a: a for a in obj.elements})
 
 
+def is_identity(m: ValueMorphism, obj: ValueObject) -> bool:
+    """Whether ``m`` is the identity of ``obj``, compared on tables."""
+    return m.map == {a: a for a in obj.elements}
+
+
 def compose(outer: ValueMorphism, inner: ValueMorphism) -> ValueMorphism:
     """``outer ∘ inner``; target of ``inner`` must be source of ``outer``."""
     if inner.target != outer.source:
-        raise ValueError("morphisms do not compose")
+        raise NotComposable("morphisms do not compose")
     return ValueMorphism(inner.source, outer.target, composite_table(outer, inner))
 
 
 def composite_table(outer: ValueMorphism, inner: ValueMorphism) -> dict[str, str]:
     """The table of ``outer ∘ inner``, unchecked: for comparing squares."""
     return {a: outer.map[inner.map[a]] for a in inner.source.elements}
+
+
+def first_bad_composite(pairs: Sequence[tuple], arrows: Mapping) -> tuple | None:
+    """The first (i, k, j) with arrows[(i, j)] ≠ arrows[(i, k)] ∘ arrows[(k, j)],
+    scanning ``pairs``, every strictly comparable pair of a poset, in order
+    and, for each (i, j), the middles k in the order of the pairs (i, k)."""
+    above: dict = {}
+    for i, k in pairs:
+        above.setdefault(i, []).append(k)
+    strict = set(pairs)
+    for i, j in pairs:
+        for k in above[i]:
+            if (k, j) in strict and (composite_table(arrows[(i, k)], arrows[(k, j)])
+                                     != arrows[(i, j)].map):
+                return i, k, j
+    return None
 
 
 @dataclass(frozen=True)
@@ -264,30 +304,24 @@ class Diagram:
             if i not in self.objects:
                 raise MalformedDiagram(f"no object at index {i!r}")
         for (i, j), arr in self.arrows.items():
-            if i == j and arr.map != identity(self.objects[i]).map:
+            if i == j and not is_identity(arr, self.objects[i]):
                 raise MalformedDiagram(f"explicit arrow at ({i!r}, {i!r}) is not the identity")
-        for (i, j) in self.index.pairs_below():
+        pairs = self.index.pairs_below()
+        for (i, j) in pairs:
             if (i, j) not in self.arrows:
                 raise MalformedDiagram(f"missing arrow for {i!r} <= {j!r}")
             arr = self.arrows[(i, j)]
             if arr.source != self.objects[j] or arr.target != self.objects[i]:
                 raise MalformedDiagram(f"arrow at ({i!r}, {j!r}) connects wrong objects")
-        self._check_functorial()
+        if (bad := first_bad_composite(pairs, self.arrows)) is not None:
+            raise MalformedDiagram(
+                f"composite through {bad[1]!r} disagrees on ({bad[0]!r}, {bad[2]!r})")
 
     @property
     def category(self) -> str:
         if self.objects:
             return next(iter(self.objects.values())).category
         return self.category_hint or FINSET
-
-    def _check_functorial(self) -> None:
-        for (i, j) in self.index.pairs_below():
-            for k in self.index.elements:
-                if k != i and k != j and self.index.leq(i, k) and self.index.leq(k, j):
-                    via = composite_table(self.arrows[(i, k)], self.arrows[(k, j)])
-                    if via != self.arrows[(i, j)].map:
-                        raise MalformedDiagram(
-                            f"composite through {k!r} disagrees on ({i!r}, {j!r})")
 
     def arrow(self, i: str, j: str) -> ValueMorphism:
         """The arrow attached to ``i <= j`` (identity when ``i == j``)."""
@@ -355,6 +389,22 @@ def compatible_families(domains: Sequence[Sequence[str]],
                 break
         else:
             yield combo
+
+
+def unique_lifts(sources: Iterable[str], targets: Iterable[str], legs: Sequence[tuple],
+                 error: Callable[[str, int], Exception]) -> dict[str, str]:
+    """The table s ↦ t of the one target t with restrict[t] = prescribed[s] along
+    every leg (restrict, prescribed); raises ``error(s, n)`` if n ≠ 1 targets fit s."""
+    by_restrictions: dict[tuple, list[str]] = {}
+    for t in targets:
+        by_restrictions.setdefault(tuple(r[t] for r, _ in legs), []).append(t)
+    table = {}
+    for s in sources:
+        found = by_restrictions.get(tuple(p[s] for _, p in legs), [])
+        if len(found) != 1:
+            raise error(s, len(found))
+        table[s] = found[0]
+    return table
 
 
 def limit(diagram: Diagram) -> LimitResult:
@@ -498,12 +548,7 @@ def enumerate_morphisms(source: ValueObject, target: ValueObject,
     src = source.elements
     for images in product(target.elements, repeat=len(src)):
         table = dict(zip(src, images))
-        if source.category == FINAB:
-            add_s, add_t = source.add, target.add
-            if any(
-                table[add_s[(a, b)]] != add_t[(table[a], table[b])]
-                for a, b in product(src, repeat=2)
-            ):
-                continue
+        if source.category == FINAB and first_bad_sum(source, target, table) is not None:
+            continue
         out.append(ValueMorphism(source, target, table))
     return out

@@ -344,6 +344,69 @@ class TestMalformedTables:
                                        sections={"1": numeric, "2": other})
             self.assert_parse_error(["extend-basis", "--presheaf", path], capsys)
 
+    def test_add_table_junk(self, tmp_path, capsys):
+        # a triple naming a non-element, then a repeated pair: both once loaded
+        with open(fixture("sierp_z2_skyscraper.presheaf.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for junk in (["zz", "0", "1"], ["0", "1", "0"]):
+            sections = json.loads(json.dumps(doc["sections"]))
+            sections["0,1"]["add"].append(junk)
+            path = self.write_presheaf(tmp_path, "sierp_z2_skyscraper.presheaf.json",
+                                       sections=sections)
+            self.assert_parse_error(["support", "--presheaf", path], capsys)
+
+    def test_keys_naming_no_open_or_inclusion(self, tmp_path, capsys):
+        # each was once dropped without an error, and check-sheaf exited 0
+        with open(fixture("sierp_sheaf.presheaf.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        restrictions = doc["restrictions"]
+        for changes in ({"sections": {**doc["sections"], "zz": ["a"]}},
+                        {"restrictions": {**restrictions, "": {"1": {"*": "u"}}}},
+                        {"restrictions": {**restrictions, "zz": {"": {}}}}):
+            path = self.write_presheaf(tmp_path, "sierp_sheaf.presheaf.json", **changes)
+            self.assert_parse_error(["check-sheaf", "--presheaf", path], capsys)
+        # a basis file names basis members only
+        path = self.write_presheaf(tmp_path, "disc2_basis.presheaf.json", sections={
+            "1": ["a"], "2": ["b"], "1,2": ["c"]})
+        self.assert_parse_error(["check-f0", "--presheaf", path], capsys)
+
+    def test_identity_self_restriction_allowed(self, tmp_path, capsys):
+        with open(fixture("sierp_sheaf.presheaf.json"), encoding="utf-8") as fh:
+            restrictions = json.load(fh)["restrictions"]
+        restrictions["1"]["1"] = {"u": "u"}
+        path = self.write_presheaf(tmp_path, "sierp_sheaf.presheaf.json",
+                                   restrictions=restrictions)
+        assert main(["check-sheaf", "--presheaf", path]) == 0
+        capsys.readouterr()
+
+    def test_gluing_part_and_diagram_node_with_unknown_keys(self, tmp_path, capsys):
+        with open(fixture("pc4_untwisted.gluing.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        part = next(iter(doc["parts"].values()))
+        part["sections"]["zz"] = ["a"]
+        path = tmp_path / "bad.gluing.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_parse_error(["glue", "--gluing", str(path)], capsys)
+        with open(fixture("sierp_pair.diagram.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        next(iter(doc["sheaves"].values()))["restrictions"]["zz"] = {}
+        path = tmp_path / "bad.diagram.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.assert_parse_error(["limit", "--diagram", str(path)], capsys)
+
+    def test_map_assignment_outside_its_source(self, tmp_path, capsys):
+        with open(fixture("disc2_to_pt.map.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["assignment"]["zz"] = "p"
+        path = tmp_path / "bad.map.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["pushforward", "--map", str(path),
+                     "--presheaf", fixture("disc2_locally_constant.presheaf.json")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "UnknownPoint"
+        assert err["message"] == "assignment names points outside the source: ['zz']"
+
     def test_map_assignment_not_pairs(self, tmp_path, capsys):
         with open(fixture("pc4_to_sierp.map.json"), encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -1,8 +1,9 @@
 """Single mutations of the shipped fixtures, run through criterion 12's verbs.
 
 A mutation drops a key or an array entry, swaps in a value of the wrong
-type, or changes a label (a string value or a table key), anywhere in one
-input file of one invocation.  Whatever the mutation, ``cli.main`` must
+type, changes a label (a string value or a table key), or adds an entry (a
+copy of a table entry under a new key, or a copy of an array entry with one
+label changed), anywhere in one input file of one invocation.  Whatever the mutation, ``cli.main`` must
 return 0, 1 or 2 without raising, and on 2 write one JSON object with
 ``error`` and ``message`` to stderr.
 """
@@ -57,6 +58,23 @@ def strings(doc) -> list[str]:
     return [doc] if isinstance(doc, str) else []
 
 
+def container(doc, path):
+    """The table or array holding the entry at ``path``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def relabel(parent, key, label) -> None:
+    """Change the label at ``parent[key]``: a string value, or a table key."""
+    if isinstance(parent[key], str):
+        parent[key] = label
+    elif isinstance(parent, dict) and label not in parent:
+        parent[label] = parent.pop(key)
+    else:
+        parent[key] = label
+
+
 @st.composite
 def mutants(draw):
     """(argv, index of the mutated argument, mutated document)."""
@@ -64,25 +82,29 @@ def mutants(draw):
     at = draw(st.sampled_from([n for n, a in enumerate(argv) if a.endswith(".json")]))
     with open(os.path.join(FIXTURES, argv[at]), encoding="utf-8") as fh:
         doc = json.load(fh)
+    labels = strings(doc) + ["?"]
     path = draw(st.sampled_from(locations(doc)))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = container(doc, path)
     key, value = path[-1], parent[path[-1]]
-    kind = draw(st.sampled_from(["drop", "swap", "label"]))
+    kind = draw(st.sampled_from(["drop", "swap", "label", "add"]))
     if kind == "drop":
         del parent[key]
     elif kind == "swap":
         parent[key] = copy.deepcopy(draw(st.sampled_from(
             [v for v in SWAPS if type(v) is not type(value)])))
+    elif kind == "label":
+        relabel(parent, key, draw(st.sampled_from(labels)))
+    elif isinstance(parent, dict):
+        fresh = draw(st.sampled_from([s for s in labels if s not in parent]))
+        parent[fresh] = copy.deepcopy(value)
     else:
-        label = draw(st.sampled_from(strings(doc) + ["?"]))
-        if isinstance(value, str):
-            parent[key] = label
-        elif isinstance(parent, dict) and label not in parent:
-            parent[label] = parent.pop(key)
-        else:
-            parent[key] = label
+        entry = [copy.deepcopy(value)]
+        named = [p for p in locations(entry) if isinstance(container(entry, p), dict)
+                 or isinstance(container(entry, p)[p[-1]], str)]
+        if named:
+            inner = draw(st.sampled_from(named))
+            relabel(container(entry, inner), inner[-1], draw(st.sampled_from(labels)))
+        parent.append(entry[0])
     return argv, at, doc
 
 

@@ -77,6 +77,14 @@ class TestTopologyLaws:
                 assert a & b in pc4.opens
 
 
+class TestContinuousMap:
+    def test_assignment_keys_outside_the_source_rejected(self, disc2):
+        # once read as an injective map by is_homeomorphism_onto_image
+        target = FiniteSpace(["a", "b"], [[], ["a", "b"]])
+        with pytest.raises(UnknownPoint, match=r"outside the source: \['zz'\]"):
+            ContinuousMap(disc2, target, {"1": "a", "2": "a", "zz": "b"})
+
+
 class TestMinimalOpen:
     def test_sierpinski(self, sierp):
         assert minimal_open(sierp, "1") == frozenset({"1"})

@@ -4,11 +4,14 @@ import pytest
 
 from finsheaf.errors import (
     CapExceeded,
+    FinsheafError,
     IncompatibleCone,
     MalformedDiagram,
+    MalformedValue,
     MixedCategories,
     NotFiltered,
 )
+from finsheaf.topology import FiniteSpace
 from finsheaf.values import (
     Diagram,
     FINAB,
@@ -21,6 +24,7 @@ from finsheaf.values import (
     family_label,
     filtered_colimit,
     finset,
+    group_from_triples,
     identity,
     limit,
     mediating_morphism,
@@ -59,6 +63,28 @@ class TestGroupTables:
 
     def test_finset_may_be_empty(self):
         assert len(finset([])) == 0
+
+    def test_add_keys_outside_the_elements_rejected(self):
+        add = dict(cyclic_group(2).add)
+        add[("zz", "0")] = "1"
+        with pytest.raises(MalformedValue, match=r"keys outside its elements: \[\('zz', '0'\)\]"):
+            ValueObject(FINAB, ("0", "1"), add=add, zero="0")
+
+    def test_triples_naming_a_non_element_rejected(self):
+        triples = [[x, y, z] for (x, y), z in cyclic_group(2).add.items()] + [["zz", "0", "1"]]
+        with pytest.raises(MalformedValue, match="outside its elements"):
+            group_from_triples(["0", "1"], triples, "0")
+
+    def test_repeated_pair_rejected(self):
+        # Z/4's table, then Z/2×Z/2's on the same labels: once loaded as the latter
+        klein = {"0": (0, 0), "1": (0, 1), "2": (1, 0), "3": (1, 1)}
+        label = {v: k for k, v in klein.items()}
+        triples = [[x, y, z] for (x, y), z in cyclic_group(4).add.items()] + [
+            [x, y, label[(a ^ c, b ^ d)]]
+            for x, (a, b) in klein.items() for y, (c, d) in klein.items()]
+        assert len(triples) == 32
+        with pytest.raises(MalformedValue, match=r"add table repeats \('0', '0'\)"):
+            group_from_triples(["0", "1", "2", "3"], triples, "0")
 
     def test_homomorphism_law_enforced(self):
         z2 = cyclic_group(2)
@@ -335,3 +361,12 @@ class TestDiagramValidation:
     def test_terminal_objects(self):
         assert len(singleton()) == 1
         assert len(zero_group()) == 1
+
+
+def test_library_callers_catch_finsheaf_error():
+    add = dict(cyclic_group(2).add)
+    add[("0", "1")] = "0"
+    with pytest.raises(FinsheafError, match="not commutative"):
+        ValueObject(FINAB, ("0", "1"), add=add, zero="0")
+    with pytest.raises(FinsheafError, match="not closed under union"):
+        FiniteSpace(["1", "2", "3"], [[], ["1"], ["2"], ["1", "2", "3"]])

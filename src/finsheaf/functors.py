@@ -4,8 +4,8 @@ The inverse image is built concretely: a section over an open U of the
 source is a family of germs, one per point, that locally comes from a
 single section downstairs.  On finite spaces membership reduces to a
 propagation rule along minimal opens: the germ at each z ∈ U_x is the
-germ at x restricted to V_ψ(z).  ``pullback`` hands that rule to
-``values.compatible_families`` as its check list; the verbatim
+germ at x restricted to V_ψ(z), a limit of stalks over the points of U
+that ``pullback`` builds with ``presheaf.limit_presheaf``; the verbatim
 exists-(V,W,t) definition, ``pullback_section_valid_oracle``, is kept as
 the oracle for it.
 """
@@ -30,6 +30,7 @@ from .presheaf import (
     enumerate_presheaf_morphisms,
     identity_morphism,
     is_sheaf,
+    limit_presheaf,
     restrict_to_open,
     validate_presheaf,
 )
@@ -45,12 +46,8 @@ from .topology import (
 from .values import (
     FINAB,
     ValueMorphism,
-    ValueObject,
-    compatible_families,
     compose,
     composite_table,
-    family_label,
-    family_object,
     tupling,
     unique_lifts,
 )
@@ -248,34 +245,13 @@ def pullback(psi: ContinuousMap, g: Presheaf) -> InverseImage:
     if not validate_presheaf(g):
         raise NotASheaf("inverse image needs a functorial presheaf downstairs")
     x_space = psi.source
-    stalk_objects = {x: stalk(g, psi(x)).object for x in x_space.points}
     germ_open = {x: minimal_open(psi.target, psi(x)) for x in x_space.points}
-    ident = {x: {a: a for a in stalk_objects[x].elements} for x in x_space.points}
-
-    section_families: dict[PointSet, dict[str, dict[str, str]]] = {}
-    sections: dict[PointSet, ValueObject] = {}
-    for u in x_space.sorted_opens():
-        pts = sorted(u)
-        position = {x: n for n, x in enumerate(pts)}
-        # the germ at each z ∈ U_x is the germ at x restricted to V_ψ(z)
-        checks = [
-            (position[x], position[z], g.restrict(germ_open[z], germ_open[x]).map, ident[z])
-            for x in pts for z in sorted(minimal_open(x_space, x)) if z != x
-        ]
-        families = {}
-        for combo in compatible_families([stalk_objects[x].elements for x in pts], checks):
-            fam = dict(zip(pts, combo))
-            families[family_label(fam)] = fam
-        section_families[u] = families
-        sections[u] = family_object(
-            g.category, {x: stalk_objects[x] for x in pts}, families)
-
-    # germs[v][x]: each section over v to its germ at x
-    germs = {v: {x: {label: fam[x] for label, fam in families.items()} for x in v}
-             for v, families in section_families.items()}
-    res = {(u, v): tupling(sections[v], sections[u], {x: germs[v][x] for x in u})
-           for u, v in x_space.inclusion_pairs()}
-    sheaf = Presheaf(x_space, g.category, sections, res)
+    # the germ at each z ∈ U_x is the germ at x restricted to V_ψ(z)
+    sheaf, section_families = limit_presheaf(
+        x_space, g.category, {x: stalk(g, psi(x)).object for x in x_space.points},
+        {(z, x): g.restrict(germ_open[z], germ_open[x])
+         for x in x_space.points for z in minimal_open(x_space, x) if z != x},
+        sorted)
 
     # unit: a section downstairs goes to its germ at ψ(x) for each x upstairs
     pf = pushforward(psi, sheaf)

@@ -34,7 +34,7 @@ from .presheaf import (
     restrict_to_open,
 )
 from .topology import Basis, FiniteSpace, PointSet, subspace
-from .values import composite_table, compose, is_identity, tupling
+from .values import compose, is_identity
 
 
 @dataclass
@@ -209,13 +209,8 @@ def glued_uniqueness(d: GluingDatum, candidate: GluedSheaf,
     if not check_glued_invariant(d, candidate):
         raise NotAGluing("candidate does not satisfy the gluing invariant")
     result = result or glue(d)
-    g = candidate.sheaf
-    phi = PresheafMorphism(g, result.sheaf, {
-        u: tupling(g.sections[u], result.sheaf.sections[u], {
-            open_key(v): composite_table(candidate.isos[result.tau[v]].components[v],
-                                         g.restrict(v, u))
-            for v in result.basis.members_within(u)})
-        for u in d.space.sorted_opens()})
+    phi = result.extension.lift(candidate.sheaf, {
+        v: candidate.isos[lam].components[v] for v, lam in result.tau.items()})
     if not phi.is_isomorphism():
         raise NotAGluing("comparison with the glued sheaf is not bijective")
     for lam in d.indices():
@@ -254,12 +249,7 @@ def glue_morphisms(d: GluingDatum, e: GluingDatum,
     to_e = {v: compose(e.cocycle[(er.tau[v], dr.tau[v])].components[v],
                        compose(family[dr.tau[v]].components[v], dr.extension.can(v)))
             for v in dr.basis.sorted_members()}
-    comp = {
-        u: tupling(dr.sheaf.sections[u], er.sheaf.sections[u], {
-            open_key(v): composite_table(to_e[v], dr.sheaf.restrict(v, u))
-            for v in dr.basis.members_within(u)})
-        for u in d.space.sorted_opens()}
-    return PresheafMorphism(dr.sheaf, er.sheaf, comp)
+    return er.extension.lift(dr.sheaf, to_e)
 
 
 def morphism_to_family(d: GluingDatum, e: GluingDatum, u: PresheafMorphism,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .canon import mapping_label, open_key, open_of_key
+from .canon import mapping_label, open_key
 from .errors import (
     CapExceeded,
     IncompatibleFamily,
@@ -46,11 +46,13 @@ from .values import (
     composite_table,
     cyclic_group,
     enumerate_morphisms,
+    family_object,
     finset,
     first_bad_composite,
     identity,
     is_identity,
     limit,
+    limit_families,
     singleton,
     tupling,
 )
@@ -74,7 +76,7 @@ class Presheaf:
         self.res = dict(res)
         if not validate:
             return
-        for u in space.opens:
+        for u in space.sorted_opens():
             if u not in self.sections:
                 raise ValueMismatch(f"no sections over {open_key(u)!r}")
             if self.sections[u].category != category:
@@ -148,7 +150,7 @@ class PresheafMorphism:
             raise ValueMismatch("morphism endpoints live on different spaces")
         if self.source.category != self.target.category:
             raise MixedCategories("morphism endpoints in different categories")
-        for u in self.source.space.opens:
+        for u in self.source.space.sorted_opens():
             if u not in self.components:
                 raise ValueMismatch(f"missing component at {open_key(u)!r}")
             c = self.components[u]
@@ -408,7 +410,7 @@ class BasisPresheaf:
         if len(cats) > 1:
             raise MixedCategories(f"basis presheaf mixes {sorted(cats)}")
         self.category = next(iter(cats)) if cats else FINSET
-        for b in basis.members:
+        for b in basis.sorted_members():
             if b not in self.sections:
                 raise ValueMismatch(f"no sections over basis open {open_key(b)!r}")
         for u, v in self.basis_pairs():
@@ -456,30 +458,48 @@ def check_F0(bp: BasisPresheaf) -> SheafReport:
     return SheafReport(not failures, failures)
 
 
+def limit_presheaf(space: FiniteSpace, category: str, objects: Mapping[str, ValueObject],
+                   arrows: Mapping[tuple[str, str], ValueMorphism],
+                   within: Callable[[PointSet], Sequence[str]]
+                   ) -> tuple[Presheaf, dict[PointSet, dict[str, dict[str, str]]]]:
+    """The presheaf U ↦ lim over the sorted indices ``within(U)`` of the
+    diagram ``objects``, ``arrows`` (checked by the caller, read as in
+    ``values.limit_families``), and each open's families {index: element}."""
+    index = {u: within(u) for u in space.sorted_opens()}
+    families, sections, projections = {}, {}, {}
+    for u, idx in index.items():
+        families[u] = fams = limit_families(objects, arrows, idx)
+        sections[u] = family_object(category, {i: objects[i] for i in idx}, fams)
+        projections[u] = {i: {label: fam[i] for label, fam in fams.items()} for i in idx}
+    res = {(u, v): tupling(sections[v], sections[u], {i: projections[v][i] for i in index[u]})
+           for u, v in space.inclusion_pairs()}
+    return Presheaf(space, category, sections, res), families
+
+
 @dataclass
 class BasisExtension:
     """A presheaf built from basis data by open-wise projective limits."""
 
     presheaf: Presheaf
     source: BasisPresheaf
-    # per open U, the limit over basis opens inside U
-    limits: dict[PointSet, LimitResult]
+    # per open U, each section's family {basis open key: element} inside U
+    families: dict[PointSet, dict[str, dict[str, str]]]
 
     def can(self, u: PointSet) -> ValueMorphism:
         """Canonical projection F′(U) → F(U) for a basis open; a bijection."""
-        return self.limits[u].projections[open_key(u)]
+        key = open_key(u)
+        return ValueMorphism(self.presheaf.sections[u], self.source.sections[u],
+                             {label: fam[key] for label, fam in self.families[u].items()})
 
-
-def restriction_diagram(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> Diagram:
-    """The sections of ``p`` over ``opens`` and the restrictions among them,
-    indexed by open keys ordered by inclusion."""
-    names = {open_key(v): v for v in opens}
-    # inclusion is already a partial order: no closure or antisymmetry scan
-    poset = Poset(tuple(sorted(names)), frozenset(
-        (open_key(a), open_key(b)) for a in opens for b in opens if a <= b))
-    arrows = {(i, j): p.restrict(names[i], names[j]) for (i, j) in poset.pairs_below()}
-    return Diagram(poset, {i: p.sections[names[i]] for i in names}, arrows,
-                   category_hint=p.category)
+    def lift(self, source: Presheaf, legs: Mapping[PointSet, ValueMorphism]) -> PresheafMorphism:
+        """The morphism ``source`` → F′ whose family at U is B ↦ legs[B] ∘ res(B, U),
+        over the basis opens B ⊆ U; ``legs[B]`` maps source(B) to F(B)."""
+        basis = self.source.basis
+        return PresheafMorphism(source, self.presheaf, {
+            u: tupling(source.sections[u], self.presheaf.sections[u], {
+                open_key(b): composite_table(legs[b], source.restrict(b, u))
+                for b in basis.members_within(u)})
+            for u in source.space.sorted_opens()})
 
 
 def extend_from_basis(bp: BasisPresheaf) -> BasisExtension:
@@ -490,16 +510,13 @@ def extend_from_basis(bp: BasisPresheaf) -> BasisExtension:
     """
     if not bp.validate():
         raise ValueMismatch("basis presheaf fails functoriality")
-    space = bp.basis.space
-    limits = {u: limit(restriction_diagram(bp, bp.basis.members_within(u)))
-              for u in space.opens}
-    sections = {u: limits[u].object for u in space.opens}
-    res = {
-        (u, v): tupling(sections[v], sections[u],
-                        {i: limits[v].projections[i].map for i in limits[u].projections})
-        for u, v in space.inclusion_pairs()
-    }
-    return BasisExtension(Presheaf(space, bp.category, sections, res), bp, limits)
+    basis = bp.basis
+    key = {b: open_key(b) for b in basis.members}
+    presheaf, families = limit_presheaf(
+        basis.space, bp.category, {key[b]: bp.sections[b] for b in basis.members},
+        {(key[u], key[v]): bp.res[(u, v)] for u, v in bp.basis_pairs() if u != v},
+        lambda u: sorted(key[b] for b in basis.members if b <= u))
+    return BasisExtension(presheaf, bp, families)
 
 
 def extend_morphism_from_basis(
@@ -513,6 +530,8 @@ def extend_morphism_from_basis(
     unique morphism agreeing with it under the canonical identifications.
     """
     bs, bt = source.source, target.source
+    if bs.basis.members != bt.basis.members:
+        raise IncompatibleFamily("extensions are over different bases")
     for b in bs.basis.sorted_members():
         if b not in components:
             raise IncompatibleFamily(f"family misses basis open {open_key(b)!r}")
@@ -522,12 +541,8 @@ def extend_morphism_from_basis(
         if not _natural_at(bs, bt, components, u, v):
             raise IncompatibleFamily(
                 f"family square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
-    out = {}
-    for w, lim in source.limits.items():
-        legs = {i: composite_table(components[open_of_key(i)], proj)
-                for i, proj in lim.projections.items()}
-        out[w] = tupling(lim.object, target.presheaf.sections[w], legs)
-    return PresheafMorphism(source.presheaf, target.presheaf, out)
+    return target.lift(source.presheaf, {
+        b: compose(components[b], source.can(b)) for b in bs.basis.members})
 
 
 def morphism_determined_by_basis(
@@ -557,16 +572,12 @@ def basis_round_trip(p: Presheaf, basis: Basis) -> tuple[BasisExtension, Preshea
     bijective when ``p`` is a sheaf; where it is not, this raises NotASheaf.
     """
     ext = extend_from_basis(restrict_to_basis(p, basis))
-    theta_comp = {}
-    for u in p.space.opens:
-        theta_comp[u] = t = tupling(
-            p.sections[u], ext.presheaf.sections[u],
-            {open_key(v): p.restrict(v, u).map for v in basis.members_within(u)})
+    theta = ext.lift(p, {b: identity(p.sections[b]) for b in basis.members})
+    for u, t in theta.components.items():
         if not t.is_bijective():
             raise NotASheaf(
                 f"over {open_key(u)!r}, {len(t.source)} sections restrict onto "
                 f"{len(set(t.map.values()))} of {len(t.target)} compatible families")
-    theta = PresheafMorphism(p, ext.presheaf, theta_comp)
     return ext, theta, theta.inverse()
 
 
@@ -585,16 +596,12 @@ def nested_basis_comparison(
         raise ValueMismatch("basis data fails the gluing condition")
     big = extend_from_basis(bp)
     small = extend_from_basis(restrict_to_basis(bp, subbasis))
-    zeta_comp = {}
-    for w, lim in big.limits.items():
-        zeta_comp[w] = z = tupling(
-            lim.object, small.presheaf.sections[w],
-            {i: lim.projections[i].map for i in small.limits[w].projections})
+    zeta = small.lift(big.presheaf, {b: big.can(b) for b in subbasis.members})
+    for w, z in zeta.components.items():
         if not z.is_bijective():
             raise ValueMismatch(
                 f"over {open_key(w)!r}, {len(z.source)} basis families drop onto "
                 f"{len(set(z.map.values()))} of {len(z.target)} sub-basis families")
-    zeta = PresheafMorphism(big.presheaf, small.presheaf, zeta_comp)
     return big, small, zeta, zeta.inverse()
 
 

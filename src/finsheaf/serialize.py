@@ -63,9 +63,9 @@ def value_to_payload(obj: ValueObject):
     return {"elements": sorted(obj.elements), "zero": obj.zero, "add": triples}
 
 
-def _labels(labels) -> list[str]:
+def _labels(labels, what: str = "element labels") -> list[str]:
     if not (isinstance(labels, list) and all(isinstance(a, str) for a in labels)):
-        raise ParseError(f"element labels must be an array of strings, got {labels!r}")
+        raise ParseError(f"{what} must be an array of strings, got {labels!r}")
     return labels
 
 
@@ -149,7 +149,7 @@ def presheaf_from_payload(payload: dict, base_dir: str = ".") -> Presheaf | Basi
 
     if basis_arr is not None:
         try:
-            members = frozenset(frozenset(b) for b in basis_arr)
+            members = frozenset(frozenset(_labels(b, "a basis member")) for b in basis_arr)
             basis = Basis(space, members)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad basis: {exc}") from exc
@@ -235,7 +235,7 @@ def _morphism_from_tables(source: Presheaf, target: Presheaf, tables: dict,
     """The morphism with one table per open of the source; errors name it as
     the ``kind`` of morphism at ``pair``."""
     comps = {}
-    for u in source.space.opens:
+    for u in source.space.sorted_opens():
         table = tables.get(open_key(u))
         if table is None:
             raise CrossReferenceError(f"{kind} {pair} misses open {open_key(u)!r}")

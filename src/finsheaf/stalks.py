@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 from .canon import open_key, open_of_key
 from .errors import NotASection, UnknownPoint, WrongCategory
-from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism, restriction_diagram
+from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism
 from .topology import Basis, PointSet, minimal_open
-from .values import ColimitResult, FINAB, ValueMorphism, ValueObject, filtered_colimit
+from .values import (ColimitResult, Diagram, FINAB, Poset, ValueMorphism, ValueObject,
+                     filtered_colimit)
 
 
 @dataclass
@@ -48,6 +49,18 @@ def stalk(p: Presheaf, x: str) -> Stalk:
         for u in p.space.opens if x in u
     }
     return Stalk(x, obj, canonical)
+
+
+def restriction_diagram(p: Presheaf | BasisPresheaf, opens: list[PointSet]) -> Diagram:
+    """The sections of ``p`` over ``opens`` and the restrictions among them,
+    indexed by open keys ordered by inclusion."""
+    names = {open_key(v): v for v in opens}
+    # inclusion is already a partial order: no closure or antisymmetry scan
+    poset = Poset(tuple(sorted(names)), frozenset(
+        (open_key(a), open_key(b)) for a in opens for b in opens if a <= b))
+    arrows = {(i, j): p.restrict(names[i], names[j]) for (i, j) in poset.pairs_below()}
+    return Diagram(poset, {i: p.sections[names[i]] for i in names}, arrows,
+                   category_hint=p.category)
 
 
 def _neighborhood_colimit(p: Presheaf | BasisPresheaf, x: str, hoods: list[PointSet]

@@ -42,6 +42,12 @@ def _check_label(label: str) -> str:
     return label
 
 
+def _labels_of(members: Iterable[str]) -> PointSet:
+    """An open set given as labels, checked in the given order, so that opens
+    can be sorted and named by ``open_key``."""
+    return frozenset(_check_label(x) for x in members)
+
+
 class FiniteSpace:
     """A finite point set with an explicit topology.
 
@@ -52,7 +58,8 @@ class FiniteSpace:
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
         self.points: PointSet = frozenset(_check_label(p) for p in points)
-        self.opens: frozenset[PointSet] = frozenset(_as_open(u) for u in opens)
+        self.opens: frozenset[PointSet] = frozenset(_labels_of(u) for u in opens)
+        self._sorted_opens: list[PointSet] = sort_opens(self.opens)
         self._validate()
         self._minimal: dict[str, PointSet] = {
             x: frozenset.intersection(*[u for u in self.opens if x in u])
@@ -63,26 +70,28 @@ class FiniteSpace:
             x: frozenset.intersection(*[c for c in closed if x in c])
             for x in self.points
         }
-        self._sorted_opens: list[PointSet] = sort_opens(self.opens)
         self._inclusion_pairs: list[tuple[PointSet, PointSet]] = [
             (u, v) for u in self._sorted_opens for v in self._sorted_opens if u <= v
         ]
         self._minimal_coverings: dict[PointSet, Covering] | None = None
 
     def _validate(self) -> None:
-        for u in self.opens:
+        """Checks in sorted order, so an error names the same opens every run."""
+        for u in self._sorted_opens:
             if not u <= self.points:
-                raise UnknownPoint(f"open {set(u)} contains points outside the space")
+                raise UnknownPoint(f"open {open_key(u)!r} contains points outside the space")
         if frozenset() not in self.opens:
             raise MalformedSpace("topology must contain the empty set")
         if self.points not in self.opens:
             raise MalformedSpace("topology must contain the full point set")
-        for a in self.opens:
-            for b in self.opens:
+        for a in self._sorted_opens:
+            for b in self._sorted_opens:
                 if a | b not in self.opens:
-                    raise MalformedSpace(f"opens not closed under union: {set(a)} ∪ {set(b)}")
+                    raise MalformedSpace(
+                        f"opens not closed under union: {open_key(a)!r} ∪ {open_key(b)!r}")
                 if a & b not in self.opens:
-                    raise MalformedSpace(f"opens not closed under intersection: {set(a)} ∩ {set(b)}")
+                    raise MalformedSpace(
+                        f"opens not closed under intersection: {open_key(a)!r} ∩ {open_key(b)!r}")
 
     # vv Equality is extensional: same points, same opens.
     def __eq__(self, other) -> bool:
@@ -143,10 +152,10 @@ class Basis:
     members: frozenset[PointSet]
 
     def __post_init__(self):
-        for b in self.members:
+        for b in self.sorted_members():
             if b not in self.space.opens:
                 raise NotAnOpen(f"basis member {open_key(b)!r} is not open")
-        for u in self.space.opens:
+        for u in self.space.sorted_opens():
             inside = [b for b in self.members if b <= u]
             if frozenset().union(*inside) != u:
                 raise MalformedSpace(f"open {open_key(u)!r} is not a union of basis members")
@@ -192,7 +201,7 @@ class ContinuousMap:
     assignment: Mapping[str, str]
 
     def __post_init__(self):
-        for x in self.source.points:
+        for x in sorted(self.source.points):
             if x not in self.assignment:
                 raise UnknownPoint(f"assignment missing source point {x!r}")
             if self.assignment[x] not in self.target.points:
@@ -233,8 +242,8 @@ def space_from_basis(points: Iterable[str], generators: Iterable[Iterable[str]])
     adds the empty and full sets.
     """
     pts = frozenset(_check_label(p) for p in points)
-    gens = {frozenset(g) for g in generators}
-    for g in gens:
+    gens = {_labels_of(g) for g in generators}
+    for g in sort_opens(gens):
         if not g <= pts:
             raise UnknownPoint(f"generator {open_key(g)!r} contains unknown points")
     if frozenset().union(*gens, frozenset()) != pts:

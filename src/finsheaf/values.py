@@ -380,8 +380,8 @@ def compatible_families(domains: Sequence[Sequence[str]],
     """The tuples t of ``product(*domains)`` passing every check, in lex order.
 
     A check ``(i, j, left, right)`` asks ``left[t[i]] == right[t[j]]``.  This
-    is the one compatible-family scan: limits, the gluing check and the
-    inverse image all enumerate their families here.
+    is the one compatible-family scan: ``limit_families`` and the gluing
+    check enumerate their families here.
     """
     for combo in product(*domains):
         for i, j, left, right in checks:
@@ -407,20 +407,32 @@ def unique_lifts(sources: Iterable[str], targets: Iterable[str], legs: Sequence[
     return table
 
 
+def limit_families(objects: Mapping[str, ValueObject],
+                   arrows: Mapping[tuple[str, str], ValueMorphism],
+                   idx: Sequence[str]) -> dict[str, dict[str, str]]:
+    """The compatible families {i: element} over the sorted indices ``idx``,
+    keyed by ``family_label``, in lex order: t_i = arrows[(i, j)][t_j] for each
+    arrow between indices in ``idx``.  The one limit kernel: limits,
+    basis extension, gluing and the inverse image take their sections here."""
+    position = {i: n for n, i in enumerate(idx)}
+    ident = {i: {a: a for a in objects[i].elements} for i in idx}
+    checks = [(position[i], position[j], ident[i], arrows[(i, j)].map)
+              for i in idx for j in idx if (i, j) in arrows]
+    families: dict[str, dict[str, str]] = {}
+    for combo in compatible_families([objects[i].elements for i in idx], checks):
+        fam = dict(zip(idx, combo))
+        families[family_label(fam)] = fam
+    return families
+
+
 def limit(diagram: Diagram) -> LimitResult:
     """Projective limit: compatible families with componentwise structure.
 
     The empty diagram yields the terminal object.
     """
     idx = list(diagram.index.elements)
-    position = {i: n for n, i in enumerate(idx)}
-    ident = {i: {a: a for a in diagram.objects[i].elements} for i in idx}
-    checks = [(position[i], position[j], ident[i], diagram.arrow(i, j).map)
-              for (i, j) in diagram.index.pairs_below()]
-    families: dict[str, dict[str, str]] = {}
-    for combo in compatible_families([diagram.objects[i].elements for i in idx], checks):
-        fam = dict(zip(idx, combo))
-        families[family_label(fam)] = fam
+    arrows = {pair: diagram.arrows[pair] for pair in diagram.index.pairs_below()}
+    families = limit_families(diagram.objects, arrows, idx)
     obj = family_object(diagram.category, {i: diagram.objects[i] for i in idx}, families)
     projections = {
         i: ValueMorphism(obj, diagram.objects[i], {l: families[l][i] for l in obj.elements})

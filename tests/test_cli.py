@@ -425,3 +425,44 @@ class TestDeterminism:
         runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == runs[1].returncode == 1
+
+    def test_error_messages_byte_identical_under_every_hash_seed(self, tmp_path):
+        """Malformed inputs whose errors could name either of two opens or
+        points: each exits 2 with the same stderr under four hash seeds."""
+        def write(name, doc):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            return str(path)
+
+        def load(name):
+            with open(fixture(name), encoding="utf-8") as fh:
+                return json.load(fh)
+
+        not_closed = load("sierp_sheaf.presheaf.json")
+        not_closed["space"] = {"points": ["a", "b", "c", "d"],
+                               "opens": [[], ["a"], ["a", "b"], ["a", "c"], ["c", "d"],
+                                         ["a", "b", "c", "d"]]}
+        gluing = load("pc4_twisted.gluing.json")
+        for row in gluing["cocycle"].values():
+            for tables in row.values():
+                del tables["a"], tables["b"]
+        psi = load("pc4_to_sierp.map.json")
+        del psi["assignment"]["x"], psi["assignment"]["y"]
+        basis = load("pc4_locally_constant.presheaf.json")
+        basis["basis"] = [["a"], ["b"], ["x"], ["y"]]
+        invocations = [
+            ["validate", "--presheaf", write("union.presheaf.json", not_closed)],
+            ["glue", "--gluing", write("holes.gluing.json", gluing)],
+            ["pushforward", "--map", write("holes.map.json", psi),
+             "--presheaf", fixture("pc4_locally_constant.presheaf.json")],
+            ["extend-basis", "--presheaf", write("holes.presheaf.json", basis)],
+        ]
+        for argv in invocations:
+            errs = set()
+            for seed in range(4):
+                res = subprocess.run([sys.executable, "-m", "finsheaf", *argv],
+                                     capture_output=True,
+                                     env=dict(os.environ, PYTHONHASHSEED=str(seed)))
+                assert res.returncode == 2, (argv, res.stderr)
+                errs.add(res.stderr)
+            assert len(errs) == 1, (argv, errs)

@@ -3,40 +3,58 @@
 The functor laws (``values.is_identity``, ``values.first_bad_composite``),
 the homomorphism law (``values.first_bad_sum``) and the naturality squares
 of a ψ-family (checked by the unique-gluing lookup, ``values.unique_lifts``)
-are each compared with the hand-written loop they replaced.
+are each compared with the hand-written loop they replaced.  So are the one
+limit presheaf (``presheaf.limit_presheaf`` over ``values.limit_families``)
+and the one map into a basis extension (``BasisExtension.lift``), against
+the per-open ``limit`` of a checked ``Diagram`` and the inverse image's own
+family loop.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsheaf import fixtures as fx
+from finsheaf.canon import open_key
 from finsheaf.errors import IncompatibleFamily, NotAMorphism
-from finsheaf.functors import PsiMorphism, psi_morphism_from_family, pushforward
-from finsheaf.oracles import enumerate_presheaves, enumerate_topologies
+from finsheaf.functors import PsiMorphism, psi_morphism_from_family, pullback, pushforward
+from finsheaf.oracles import (
+    enumerate_basis_presheaves,
+    enumerate_presheaves,
+    enumerate_topologies,
+)
 from finsheaf.presheaf import (
     BasisPresheaf,
     Presheaf,
     constant_presheaf,
     enumerate_presheaf_morphisms,
+    extend_from_basis,
+    restrict_to_basis,
     validate_presheaf,
 )
-from finsheaf.topology import Basis
+from finsheaf.stalks import restriction_diagram, stalk
+from finsheaf.topology import Basis, ContinuousMap, check_continuous, minimal_open
 from finsheaf.values import (
     FINAB,
     ValueMorphism,
     ValueObject,
+    compatible_families,
     composite_table,
     cyclic_group,
     enumerate_morphisms,
+    family_label,
+    family_object,
     finset,
     first_bad_sum,
     identity,
+    is_identity,
+    limit,
+    tupling,
 )
 from test_functors import family_of_psi_morphism
-from test_properties import random_presheaf
+from test_properties import linearized, random_continuous_map, random_presheaf
 
 
 # -- functor laws ---------------------------------------------------------------
@@ -184,3 +202,137 @@ def test_gluing_lookup_rejects_exactly_the_families_the_square_scan_rejected():
                     psi_morphism_from_family(psi, g, f, family)
                     accepted += 1
     assert (rejected, accepted) == (362, 8)
+
+
+# -- one limit presheaf and one lift ----------------------------------------------
+
+def extension_reference(bp: BasisPresheaf):
+    """The former ``extend_from_basis``: per open, the ``limit`` of a checked
+    ``Diagram``; returns those limits and the restriction tables."""
+    space = bp.basis.space
+    limits = {u: limit(restriction_diagram(bp, bp.basis.members_within(u)))
+              for u in space.opens}
+    res = {(u, v): tupling(limits[v].object, limits[u].object, {
+        i: limits[v].projections[i].map for i in limits[u].projections}).map
+        for u, v in space.inclusion_pairs()}
+    return limits, res
+
+
+def pullback_reference(psi: ContinuousMap, g: Presheaf):
+    """The former ``pullback`` loop: per open, its own check list handed to
+    ``compatible_families``; returns families, sections and restriction tables."""
+    x_space = psi.source
+    stalk_objects = {x: stalk(g, psi(x)).object for x in x_space.points}
+    germ_open = {x: minimal_open(psi.target, psi(x)) for x in x_space.points}
+    ident = {x: {a: a for a in stalk_objects[x].elements} for x in x_space.points}
+    families, sections = {}, {}
+    for u in x_space.sorted_opens():
+        pts = sorted(u)
+        position = {x: n for n, x in enumerate(pts)}
+        checks = [
+            (position[x], position[z], g.restrict(germ_open[z], germ_open[x]).map, ident[z])
+            for x in pts for z in sorted(minimal_open(x_space, x)) if z != x
+        ]
+        families[u] = {}
+        for combo in compatible_families([stalk_objects[x].elements for x in pts], checks):
+            fam = dict(zip(pts, combo))
+            families[u][family_label(fam)] = fam
+        sections[u] = family_object(g.category, {x: stalk_objects[x] for x in pts},
+                                    families[u])
+    res = {(u, v): {label: family_label({x: fam[x] for x in u})
+                    for label, fam in families[v].items()}
+           for u, v in x_space.inclusion_pairs()}
+    return families, sections, res
+
+
+def assert_extension_matches(bp: BasisPresheaf) -> None:
+    """Sections, families, restriction tables and ``can`` against the
+    reference; the lift of the legs ``can(B)`` is the identity."""
+    ext = extend_from_basis(bp)
+    limits, res = extension_reference(bp)
+    for u in bp.basis.space.opens:
+        assert ext.presheaf.sections[u] == limits[u].object
+        assert list(ext.families[u].items()) == list(limits[u].families.items())
+    assert {pair: r.map for pair, r in ext.presheaf.res.items()} == res
+    for b in bp.basis.members:
+        assert ext.can(b).map == limits[b].projections[open_key(b)].map
+    lifted = ext.lift(ext.presheaf, {b: ext.can(b) for b in bp.basis.members})
+    assert all(is_identity(c, ext.presheaf.sections[u]) for u, c in lifted.components.items())
+
+
+def assert_pullback_matches(psi: ContinuousMap, g: Presheaf) -> None:
+    inv = pullback(psi, g)
+    families, sections, res = pullback_reference(psi, g)
+    for u in psi.source.opens:
+        assert list(inv.families[u].items()) == list(families[u].items())
+        assert inv.sheaf.sections[u] == sections[u]
+    assert {pair: r.map for pair, r in inv.sheaf.res.items()} == res
+
+
+def bases(space):
+    """Every basis of ``space``."""
+    opens = space.sorted_opens()
+    for r in range(len(opens) + 1):
+        for members in combinations(opens, r):
+            if all(frozenset().union(*[b for b in members if b <= u]) == u for u in opens):
+                yield Basis(space, frozenset(members))
+
+
+def continuous_maps(source, target):
+    for images in product(sorted(target.points), repeat=len(source.points)):
+        psi = ContinuousMap(source, target, dict(zip(sorted(source.points), images)))
+        if check_continuous(psi):
+            yield psi
+
+
+UP_TO_TWO_POINTS = [space for points in ([], ["1"], ["1", "2"])
+                    for space in enumerate_topologies(points)]
+
+
+def test_limit_presheaf_and_lift_match_the_references_on_two_points():
+    """Every basis of every topology on at most two points, every FinSet
+    basis presheaf with |F(B)| ≤ 2 and its Z/2-span; every continuous map
+    between those topologies, non-T0 sources included, and every FinSet
+    presheaf with |G(U)| ≤ 2 downstairs.  (The Z/2-spans of the latter take
+    16 s; the three-point test draws them.)"""
+    extensions = pullbacks = 0
+    for space in UP_TO_TWO_POINTS:
+        for basis in bases(space):
+            for bp in enumerate_basis_presheaves(basis, max_size=2):
+                for data in (bp, linearized(bp, 2)):
+                    assert_extension_matches(data)
+                    extensions += 1
+    for source, target in product(UP_TO_TWO_POINTS, repeat=2):
+        for psi in continuous_maps(source, target):
+            for g in enumerate_presheaves(target, max_size=2):
+                assert_pullback_matches(psi, g)
+                pullbacks += 1
+    assert (extensions, pullbacks) == (1016, 4925)
+
+
+@given(st.sampled_from(THREE_POINTS), st.sampled_from(UP_TO_TWO_POINTS + THREE_POINTS),
+       st.booleans(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_limit_presheaf_and_lift_match_the_references_on_three_points(space, target, z2,
+                                                                       seed):
+    """A random presheaf on a 3-point topology restricted to a random basis,
+    or its Z/2-span; the lift of its restrictions is θ, the section-to-family
+    map.  And the pullback along a random map into a topology on at most
+    three points."""
+    rng = random.Random(seed)
+    p = random_presheaf(space, rng, max_size=2)
+    minimal = {minimal_open(space, x) for x in space.points}
+    basis = Basis(space, frozenset(
+        minimal | {u for u in space.sorted_opens() if rng.random() < 0.5}))
+    q = linearized(p, 2) if z2 else p
+    bp = restrict_to_basis(q, basis)
+    assert_extension_matches(bp)
+    limits, _ = extension_reference(bp)
+    theta = extend_from_basis(bp).lift(q, {b: identity(q.sections[b]) for b in basis.members})
+    for u, t in theta.components.items():
+        assert t.map == tupling(q.sections[u], limits[u].object, {
+            open_key(b): q.restrict(b, u).map for b in basis.members_within(u)}).map
+    if target.points:
+        psi = random_continuous_map(space, target, rng)
+        g = random_presheaf(target, rng, max_size=2)
+        assert_pullback_matches(psi, linearized(g, 2) if z2 else g)

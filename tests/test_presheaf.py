@@ -462,6 +462,13 @@ class TestExtendMorphism:
         with pytest.raises(IncompatibleFamily):
             extend_morphism_from_basis(fam, ext, ext)
 
+    def test_extensions_over_different_bases_raise(self, sierp, sierp_sheaf):
+        small, big = (extend_from_basis(restrict_to_basis(sierp_sheaf, Basis(sierp, members)))
+                      for members in (frozenset({S_ONE, S_WHOLE}), sierp.opens))
+        fam = {b: identity(sierp_sheaf.sections[b]) for b in sierp.opens}
+        with pytest.raises(IncompatibleFamily, match="different bases"):
+            extend_morphism_from_basis(fam, small, big)
+
     def test_family_square_violation_raises(self, disc2):
         # give {1} ⊆ {1,2}? not basis pair; build chain basis on SIERP instead
         sierp, _ = fx.sierpinski()

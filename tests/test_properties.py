@@ -24,6 +24,7 @@ from finsheaf.oracles import (
     enumerate_topologies,
 )
 from finsheaf.presheaf import (
+    BasisPresheaf,
     Presheaf,
     check_sheaf,
     compose_morphisms,
@@ -130,8 +131,9 @@ def random_presheaf(space, rng: random.Random, max_size: int) -> Presheaf:
     return Presheaf(space, FINSET, sections, res)
 
 
-def linearized(p: Presheaf, n: int) -> Presheaf:
-    """Z/n-linear combinations of sections, restrictions extended linearly."""
+def linearized(p: Presheaf | BasisPresheaf, n: int) -> Presheaf | BasisPresheaf:
+    """Z/n-linear combinations of sections, restrictions extended linearly;
+    basis data stays basis data."""
 
     def label(vec) -> str:
         return "v" + "".join(map(str, vec))
@@ -155,6 +157,11 @@ def linearized(p: Presheaf, n: int) -> Presheaf:
             table[label(vec)] = label(out)
         return table
 
+    if isinstance(p, BasisPresheaf):
+        sections = {b: section_at(b) for b in p.basis.members}
+        return BasisPresheaf(p.basis, sections, {
+            (u, v): ValueMorphism(sections[v], sections[u], restriction(u, v))
+            for u, v in p.basis_pairs()})
     return presheaf_from_function(p.space, FINAB, section_at, restriction)
 
 

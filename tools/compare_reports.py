@@ -11,6 +11,10 @@ ladder expects and passes the ladder's output check; as in the ladder,
 once a tree fails a rung, the larger rungs of that ladder are not
 attempted on it.
 
+The parent tree runs with ``PYTHONHASHSEED=0`` and the change tree with
+``PYTHONHASHSEED=1``, so a report that depends on the order in which
+Python iterates a set or frozenset shows up as ``DIFFER``.
+
 On every rung both trees solve, the exit code, stdout, stderr and the
 ``--out`` file must be byte-identical.  Rungs that only one tree solves
 are listed.  Exit 1 on any difference of either kind, 0 otherwise.
@@ -32,13 +36,15 @@ sys.dont_write_bytecode = True  # leave bench/ as it is
 from workloads import Ladder  # noqa: E402
 
 TIMEOUT_S = 10.0
+HASH_SEEDS = ("0", "1")  # parent tree, change tree
 
 
-def run(tree: str, rung, work: str) -> tuple[bool, tuple]:
+def run(tree: str, hash_seed: str, rung, work: str) -> tuple[bool, tuple]:
     """(solved, (exit code, stdout, stderr, --out bytes)) of one rung."""
     if rung.out and os.path.exists(rung.out):
         os.remove(rung.out)
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+               PYTHONHASHSEED=hash_seed)
     try:
         res = subprocess.run([sys.executable, "-m", "finsheaf", *rung.argv], cwd=work,
                              env=env, capture_output=True, timeout=TIMEOUT_S)
@@ -69,7 +75,7 @@ def compare(trees: tuple[str, str], seed: int) -> int:
         for _, rungs in ladder.ladders:
             solved = [True, True]
             for rung in rungs:
-                runs = [run(tree, rung, work) if solved[k] else (False, ())
+                runs = [run(tree, HASH_SEEDS[k], rung, work) if solved[k] else (False, ())
                         for k, tree in enumerate(trees)]
                 solved = [ok for ok, _ in runs]
                 if all(solved):

@@ -64,6 +64,7 @@ from .presheaf import (
     enumerate_presheaf_morphisms,
     extend_from_basis,
     extend_morphism_from_basis,
+    homs_into_sheaf,
     identity_morphism,
     is_constant_presheaf,
     is_sheaf,

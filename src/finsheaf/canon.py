@@ -10,7 +10,10 @@ sorted by key.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import IO, Iterable, Mapping
+
+# Characters per write of ``write_canonical``.
+BLOCK_CHARS = 1 << 16
 
 
 def escape(s: str) -> str:
@@ -42,6 +45,27 @@ def sort_opens(opens: Iterable[frozenset[str]]) -> list[frozenset[str]]:
 def canonical_json(payload) -> str:
     """Byte-stable JSON used for every file and report this package writes."""
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def write_canonical(fh: IO[str], payload) -> None:
+    """Write ``canonical_json(payload)`` to ``fh`` in blocks of about
+    ``BLOCK_CHARS`` characters.
+
+    ``json.dumps`` joins the encoder's chunks, so the bytes are the same;
+    the whole document is never held at once.  Blocks rather than single
+    chunks, because a captured stream keeps every piece it was handed.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)
+    block: list[str] = []
+    size = 0
+    for chunk in encoder.iterencode(payload):
+        block.append(chunk)
+        size += len(chunk)
+        if size >= BLOCK_CHARS:
+            fh.write("".join(block))
+            block, size = [], 0
+    block.append("\n")
+    fh.write("".join(block))
 
 
 def mapping_label(table: Mapping[str, str]) -> str:

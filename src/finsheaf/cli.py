@@ -3,7 +3,7 @@
 One verb per invocation; reports are canonical JSON on stdout (or a
 derived human-readable text form, never parsed back).  Exit codes: 0 for
 a true verdict or successful construction, 1 for a false verdict, 2 for
-malformed input or an exceeded enumeration cap.  Wall-clock timing only
+malformed input, a bad command line or an exceeded enumeration cap.  Wall-clock timing only
 appears in text output so JSON reports stay byte-identical across runs.
 """
 
@@ -14,7 +14,7 @@ import functools
 import sys
 import time
 
-from .canon import canonical_json, open_key
+from .canon import canonical_json, open_key, write_canonical
 from .errors import CocycleViolation, FinsheafError, ParseError
 from . import serialize as ser
 from .gluing import check_glued_invariant, glue
@@ -209,16 +209,35 @@ def _render_text(report: dict, elapsed: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ParseError`` on a bad command line instead of printing usage
+    and exiting, so that ``main`` reports it like any malformed input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; callers share it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--out", help="write the constructed artifact here")
     common.add_argument(
-        "--max-homs", type=int, default=10 ** 6,
-        help="hard cap on Hom-set enumeration (error, never truncate)")
-    parser = argparse.ArgumentParser(
+        "--max-homs", type=_positive_int, default=10 ** 6,
+        help="cap on the work of each Hom-set enumeration: candidate maps "
+             "listed plus candidates tried (error, never truncate)")
+    parser = _Parser(
         prog="finsheaf",
         description="check and build sheaves on finite topological spaces",
         parents=[common])
@@ -251,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         payload, verdict = args.fn(args)
     except FinsheafError as exc:
         sys.stderr.write(canonical_json({
@@ -270,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         "payload": payload,
     }
     if args.format == "json":
-        sys.stdout.write(canonical_json(report))
+        write_canonical(sys.stdout, report)
     else:
         sys.stdout.write(_render_text(report, elapsed))
     return EXIT_TRUE if verdict else EXIT_FALSE

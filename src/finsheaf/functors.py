@@ -27,7 +27,7 @@ from .presheaf import (
     PresheafMorphism,
     compose_morphisms,
     composites_agree,
-    enumerate_presheaf_morphisms,
+    homs_into_sheaf,
     identity_morphism,
     is_sheaf,
     limit_presheaf,
@@ -368,29 +368,33 @@ def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
                      max_homs: int = 10 ** 6) -> AdjunctionWitness:
     """Enumerate both Hom-sets and verify ♭ and ♯ are mutually inverse.
 
+    Both Hom-sets land in a sheaf, F and ψ_*F, so ``homs_into_sheaf``
+    enumerates them, each under the work cap ``max_homs``.
     ``naturality_probe`` is a morphism F → F₂ of sheaves used to check the
     transposition commutes with postcomposition.
     """
     _require_sheaf(f)
     inv = pullback(psi, g)
-    upstairs = enumerate_presheaf_morphisms(inv.sheaf, f, max_homs=max_homs)
-    downstairs = enumerate_presheaf_morphisms(g, pushforward(psi, f), max_homs=max_homs)
-    down_labels = {m.label(): m for m in downstairs}
-    up_labels = {m.label(): m for m in upstairs}
+    upstairs = homs_into_sheaf(inv.sheaf, f, max_homs=max_homs)
+    downstairs = homs_into_sheaf(g, pushforward(psi, f), max_homs=max_homs)
+    # each label is built once; an image's label is replaced by the equal
+    # string already held for its Hom-set
+    up_keys = [m.label() for m in upstairs]
+    down_keys = [m.label() for m in downstairs]
+    up_labels, down_labels = dict(zip(up_keys, up_keys)), dict(zip(down_keys, down_keys))
     forward, backward = {}, {}
     transpositions = []
     verdict = True
-    for nu in upstairs:
+    for nu, key in zip(upstairs, up_keys):
         image = flat(nu, inv).body
         transpositions.append((nu, image))
         lbl = image.label()
-        forward[nu.label()] = lbl
+        forward[key] = down_labels.get(lbl, lbl)
         if lbl not in down_labels:
             verdict = False
-    for u in downstairs:
-        image = _sharp(PsiMorphism(psi, g, f, u), inv)
-        lbl = image.label()
-        backward[u.label()] = lbl
+    for u, key in zip(downstairs, down_keys):
+        lbl = _sharp(PsiMorphism(psi, g, f, u), inv).label()
+        backward[key] = up_labels.get(lbl, lbl)
         if lbl not in up_labels:
             verdict = False
     if verdict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .canon import mapping_label, open_key
+from .canon import mapping_label, open_key, sort_opens
 from .errors import (
     CapExceeded,
     IncompatibleFamily,
@@ -55,6 +55,7 @@ from .values import (
     limit_families,
     singleton,
     tupling,
+    unique_lifts,
 )
 
 
@@ -700,12 +701,51 @@ def mediating_sheaf_morphism(lim: SheafLimit, cone: Mapping[str, PresheafMorphis
     return PresheafMorphism(tip, lim.presheaf, comp)
 
 
+def _natural_components(p: Presheaf, q: Presheaf, positions: Sequence[PointSet],
+                        squares: Sequence[Sequence[tuple[PointSet, PointSet]]],
+                        max_homs: int) -> list[dict[PointSet, ValueMorphism]]:
+    """Every choice of one map p(U) → q(U) per open U of ``positions`` whose
+    squares commute, in lex order over ``positions``; ``squares[i]`` lists the
+    pairs (small, large) checked once position i is bound, as
+    ``_natural_at`` reads them.
+
+    The work is the candidate maps listed at each position plus each
+    candidate bound; work over ``max_homs`` raises rather than truncating.
+    """
+    listed = sum(len(q.sections[u]) ** len(p.sections[u]) for u in positions)
+    if listed > max_homs:
+        raise CapExceeded(f"{listed} candidate maps exceed cap {max_homs}")
+    per_open = [enumerate_morphisms(p.sections[u], q.sections[u]) for u in positions]
+    budget = max_homs - listed
+    out: list[dict[PointSet, ValueMorphism]] = []
+    chosen: dict[PointSet, ValueMorphism] = {}
+
+    def extend(i: int):
+        nonlocal budget
+        if i == len(positions):
+            out.append(dict(chosen))
+            return
+        u = positions[i]
+        for cand in per_open[i]:
+            budget -= 1
+            if budget < 0:
+                raise CapExceeded(f"Hom enumeration exceeds cap {max_homs}")
+            chosen[u] = cand
+            if all(_natural_at(p, q, chosen, a, b) for a, b in squares[i]):
+                extend(i + 1)
+        chosen.pop(u, None)
+
+    extend(0)
+    return out
+
+
 def enumerate_presheaf_morphisms(p: Presheaf, q: Presheaf,
                                  max_homs: int = 10 ** 6) -> list[PresheafMorphism]:
-    """All presheaf morphisms p → q, deterministically ordered.
+    """All presheaf morphisms p → q, in lex order over the sorted opens.
 
-    The candidate count is the product of the per-open Hom sizes; going
-    over ``max_homs`` raises rather than silently sampling.
+    Every open is a position, and each square is checked once both of its
+    components are bound.  This is the oracle for ``homs_into_sheaf``; the
+    work cap is that of ``_natural_components``.
     """
     if p.space != q.space:
         raise ValueMismatch("presheaves live on different spaces")
@@ -713,32 +753,49 @@ def enumerate_presheaf_morphisms(p: Presheaf, q: Presheaf,
     # per open, the squares it closes with itself and the opens chosen before it
     squares = [[(v, u) if v <= u else (u, v) for v in opens[:i + 1] if v <= u or u <= v]
                for i, u in enumerate(opens)]
-    per_open = {}
-    total = 1
-    for u in opens:
-        per_open[u] = enumerate_morphisms(p.sections[u], q.sections[u],
-                                          max_homs=max_homs)
-        total *= max(1, len(per_open[u]))
-        if total > max_homs:
-            raise CapExceeded(f"Hom enumeration exceeds cap {max_homs}")
-    out: list[PresheafMorphism] = []
+    return [PresheafMorphism(p, q, chosen)
+            for chosen in _natural_components(p, q, opens, squares, max_homs)]
 
-    def extend(i: int, chosen: dict[PointSet, ValueMorphism]):
-        if i == len(opens):
-            out.append(PresheafMorphism(p, q, dict(chosen)))
-            return
-        u = opens[i]
-        for cand in per_open[u]:
-            chosen[u] = cand
-            for a, b in squares[i]:
-                if not _natural_at(p, q, chosen, a, b):
-                    break
-            else:
-                extend(i + 1, chosen)
-        chosen.pop(u, None)
 
-    extend(0, {})
-    return out
+def homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int = 10 ** 6) -> list[PresheafMorphism]:
+    """All morphisms from a functorial presheaf p into a sheaf f, in the order
+    of ``enumerate_presheaf_morphisms``.
+
+    A morphism into a sheaf is fixed by its components on the minimal opens,
+    natural along their cover steps U_x ⋖ U_y.  Those are the positions; the
+    component at any other open W lifts the family of its restrictions to
+    W's minimal covering, which glues uniquely in f.  The work cap counts as
+    in ``_natural_components``.
+    """
+    space = p.space
+    if space != f.space:
+        raise ValueMismatch("presheaves live on different spaces")
+    minimal = sort_opens({minimal_open(space, x) for x in space.points})
+    # each cover step a ⋖ b is checked once its later position is bound
+    squares: list[list[tuple[PointSet, PointSet]]] = [[] for _ in minimal]
+    for j, b in enumerate(minimal):
+        for i, a in enumerate(minimal):
+            if a < b and not any(a < c < b for c in minimal):
+                squares[max(i, j)].append((a, b))
+    opens = space.sorted_opens()
+    positions = set(minimal)
+    rest = [w for w in opens if w not in positions]
+    rank = {w: {t: n for n, t in enumerate(f.sections[w].elements)} for w in opens}
+    found = []
+    for comps in _natural_components(p, f, minimal, squares, max_homs):
+        for w in rest:
+            legs = [(f.restrict(m, w).map, composite_table(comps[m], p.restrict(m, w)))
+                    for m in space.minimal_covering(w).parts]
+            comps[w] = ValueMorphism(p.sections[w], f.sections[w], unique_lifts(
+                p.sections[w].elements, f.sections[w].elements, legs,
+                lambda s, n: NotASheaf(
+                    f"over {open_key(w)!r}, {n} sections of the target fit {s!r}")))
+        # the oracle's order: lex over the sorted opens of each component's
+        # place in the product order that enumerate_morphisms lists
+        key = tuple(rank[w][comps[w].map[s]] for w in opens for s in p.sections[w].elements)
+        found.append((key, comps))
+    found.sort(key=lambda item: item[0])
+    return [PresheafMorphism(p, f, comps) for _, comps in found]
 
 
 # -- constant presheaves and the irreducible-space equivalence ---------------

@@ -13,7 +13,7 @@ import json
 import os
 from typing import Any, Callable, TypeVar
 
-from .canon import canonical_json, open_key
+from .canon import open_key, write_canonical
 from .errors import CrossReferenceError, ParseError
 from .gluing import GluingDatum
 from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism, SheafDiagram
@@ -356,4 +356,4 @@ def load_json(path: str) -> dict:
 
 def dump_json(path: str, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload))
+        write_canonical(fh, payload)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from finsheaf.cli import main
 from finsheaf.serialize import gluing_to_payload
 from test_gluing import three_part_swap_datum
@@ -183,6 +185,50 @@ class TestOtherVerbs:
         assert code == 0
         assert "verdict: pass" in out
         assert "elapsed" in out
+
+
+ADJUNCTION = ["adjunction-test", "--map", fixture("disc2_to_pt.map.json"),
+              "--presheaf", fixture("pt_two.presheaf.json"),
+              "--sheaf", fixture("disc2_locally_constant.presheaf.json")]
+
+
+class TestCommandLineErrors:
+    """A bad command line exits 2 with a JSON error on stderr, like bad input."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (ADJUNCTION + ["--max-homs", "abc"],
+         "argument --max-homs: invalid int value: 'abc'"),
+        (ADJUNCTION + ["--max-homs", "0"],
+         "argument --max-homs: must be a positive integer, got 0"),
+        (ADJUNCTION + ["--max-homs", "-5"],
+         "argument --max-homs: must be a positive integer, got -5"),
+        (ADJUNCTION + ["--bogus"], "unrecognized arguments: --bogus"),
+        (["check-sheaf"], "the following arguments are required: --presheaf"),
+        (["no-such-verb"], "argument verb: invalid choice: 'no-such-verb'"),
+        ([], "the following arguments are required: verb"),
+    ])
+    def test_parse_error_is_json_on_stderr(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(message)
+
+    def test_cap_one_below_the_work_raises(self, capsys):
+        """Downstairs, 4² = 16 maps G(p) → F(1,2) are listed and 16 bound:
+        work 32, above the upstairs work of 28 (see tests/test_homs.py)."""
+        code = main(ADJUNCTION + ["--max-homs", "31"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "CapExceeded"
+
+    def test_cap_equal_to_the_work_runs(self, capsys):
+        code, doc = run_cli_json(ADJUNCTION + ["--max-homs", "32"], capsys)
+        assert code == 0
+        assert doc["payload"]["hom_upstairs"] == doc["payload"]["hom_downstairs"] == 16
 
 
 CONST_A = {"a": "a", "b": "a"}

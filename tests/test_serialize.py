@@ -1,11 +1,14 @@
+import inspect
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finsheaf import fixtures as fx
 from finsheaf import serialize as ser
-from finsheaf.canon import canonical_json
+from finsheaf.canon import BLOCK_CHARS, canonical_json, write_canonical
 from finsheaf.errors import CrossReferenceError, ParseError
 from finsheaf.presheaf import BasisPresheaf, presheaves_equal
 from finsheaf.values import cyclic_group, finset
@@ -137,3 +140,60 @@ class TestFixtureRegeneration:
             with open(tmp_path / name, "rb") as new, \
                     open(os.path.join(FIXTURES, name), "rb") as shipped:
                 assert new.read() == shipped.read(), name
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# labels that need JSON escapes, label escapes, or are not ASCII
+labels = st.text(alphabet=st.sampled_from(list('ab|=\\"\n\t\x00é€𝔽 ')), max_size=6)
+payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | labels,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(labels, inner, max_size=5),
+    max_leaves=40)
+
+
+class RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+class TestBlockWriter:
+    """``write_canonical`` writes the bytes of ``canonical_json`` in blocks."""
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in os.listdir(GOLDEN) if os.path.getsize(os.path.join(GOLDEN, n))))
+    def test_golden_payloads(self, name):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            text = fh.read()
+        payload = json.loads(text)
+        out = io.StringIO()
+        write_canonical(out, payload)
+        assert out.getvalue() == canonical_json(payload) == text
+
+    @given(payloads)
+    @settings(max_examples=150, deadline=None)
+    def test_escaped_and_non_ascii_labels(self, payload):
+        out = io.StringIO()
+        write_canonical(out, payload)
+        assert out.getvalue() == canonical_json(payload)
+
+    def test_writes_blocks_not_chunks(self):
+        payload = {f"open{i}": {"a|b=c": ["é", i, None]} for i in range(20000)}
+        out = RecordingStream()
+        write_canonical(out, payload)
+        text = canonical_json(payload)
+        assert out.getvalue() == text
+        assert all(size >= BLOCK_CHARS for size in out.sizes[:-1])
+        assert len(out.sizes) <= len(text) // BLOCK_CHARS + 1
+
+    def test_dump_json_writes_canonical_bytes_at_its_first_argument(self, tmp_path):
+        assert next(iter(inspect.signature(ser.dump_json).parameters)) == "path"
+        payload = ser.presheaf_to_payload(fx.sierp_two_section_sheaf())
+        path = tmp_path / "out.json"
+        ser.dump_json(str(path), payload)
+        assert path.read_bytes() == canonical_json(payload).encode("utf-8")

@@ -25,12 +25,15 @@ from .errors import (
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
+    _homs_into_sheaf,
+    _natural_morphism,
     compose_morphisms,
     composites_agree,
-    homs_into_sheaf,
+    cover_lifts,
     identity_morphism,
     is_sheaf,
     limit_presheaf,
+    presheaves_equal,
     restrict_to_open,
     validate_presheaf,
 )
@@ -48,8 +51,9 @@ from .values import (
     ValueMorphism,
     compose,
     composite_table,
+    lift_index,
+    lookup_lifts,
     tupling,
-    unique_lifts,
 )
 
 
@@ -61,18 +65,17 @@ def pushforward(psi: ContinuousMap, f: Presheaf) -> Presheaf:
     if f.space != psi.source:
         raise NotContinuous("presheaf does not live on the map's source")
     y = psi.target
-    sections = {u: f.sections[psi.preimage(u)] for u in y.opens}
-    res = {
-        (u, v): f.res[(psi.preimage(u), psi.preimage(v))]
-        for u in y.opens for v in y.opens if u <= v
-    }
+    pre = {u: psi.preimage(u) for u in y.opens}
+    sections = {u: f.sections[pre[u]] for u in y.opens}
+    res = {(u, v): f.res[(pre[u], pre[v])] for u, v in y.inclusion_pairs()}
     return Presheaf(y, f.category, sections, res)
 
 
 def pushforward_morphism(psi: ContinuousMap, u: PresheafMorphism) -> PresheafMorphism:
-    """Componentwise direct image of a morphism; functorial."""
+    """Componentwise direct image of a morphism; functorial, and natural
+    because ``u`` is."""
     _require_continuous(psi)
-    return PresheafMorphism(
+    return _natural_morphism(
         pushforward(psi, u.source), pushforward(psi, u.target),
         {v: u.components[psi.preimage(v)] for v in psi.target.opens})
 
@@ -172,10 +175,11 @@ def psi_morphism_from_family(
     components = {}
     for w in psi.target.sorted_opens():
         pw = psi.preimage(w)
-        legs = [(f.restrict(u, pw).map, composite_table(family[(u, v)], g.restrict(v, w)))
-                for (u, v) in pairs if v <= w]
-        table = unique_lifts(
-            g.sections[w].elements, f.sections[pw].elements, legs,
+        inside = [(u, v) for (u, v) in pairs if v <= w]
+        table = lookup_lifts(
+            lift_index(f.sections[pw].elements, [f.restrict(u, pw).map for u, _ in inside]),
+            g.sections[w].elements,
+            [composite_table(family[(u, v)], g.restrict(v, w)) for u, v in inside],
             lambda s, n: IncompatibleFamily(
                 f"family does not glue at {open_key(w)!r}: {n} candidates for {s!r}"))
         components[w] = ValueMorphism(g.sections[w], pf.sections[w], table)
@@ -270,7 +274,7 @@ def sheafify(g: Presheaf) -> InverseImage:
 # -- the adjunction calculus ---------------------------------------------------
 
 def _require_sheaf(f: Presheaf) -> Presheaf:
-    if not is_sheaf(f):
+    if not (validate_presheaf(f) and is_sheaf(f)):
         raise NotASheaf("operation needs a sheaf here")
     return f
 
@@ -284,7 +288,9 @@ def sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
     pair fails to behave like an inverse image.
     """
     _require_sheaf(u.target)
-    return _sharp(u, inv)
+    if not validate_presheaf(inv.sheaf):
+        raise NotInverseImagePair("the pair's sheaf is not functorial")
+    return _sharp(u, _Transport(inv, u.target))
 
 
 def _fiber_identification(inv: InverseImage, x: str) -> ValueMorphism:
@@ -299,36 +305,66 @@ def _fiber_identification(inv: InverseImage, x: str) -> ValueMorphism:
     return bx
 
 
-def _sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
-    """``sharp`` for a caller that has already checked that u.target is a sheaf."""
-    f = u.target
-    psi = inv.psi
-    x_space = psi.source
-    h = inv.sheaf
-    # per point x: its minimal open m, and the map H(m) → F(m) that undoes
-    # β_x, applies u and takes the germ at x
-    carry: dict[str, tuple[PointSet, dict[str, str]]] = {}
-    for x in sorted(x_space.points):
-        m = minimal_open(x_space, x)
-        transport = u.pair_component(m, minimal_open(psi.target, psi(x))).map
-        carry[x] = (m, {germ: transport[g]
-                        for g, germ in _fiber_identification(inv, x).map.items()})
+class _Transport:
+    """What ♯ across the pair ``inv`` into the sheaf F reads for every
+    ψ-morphism, built once.
+
+    Per minimal open U_x of X: V = V_ψ(x), the restriction F(ψ⁻¹V) → F(U_x)
+    and β_x.  Per open W of X: its minimal covering, H's restrictions to
+    the parts and ``cover_lifts``' index of F(W).  Points with one minimal
+    open share V and β_x, so each minimal open is kept once.
+    """
+
+    def __init__(self, inv: InverseImage, f: Presheaf):
+        psi, h = inv.psi, inv.sheaf
+        self.inv, self.f = inv, f
+        self.germs: dict[PointSet, tuple[PointSet, dict[str, str], dict[str, str]]] = {}
+        for x in sorted(psi.source.points):
+            beta = _fiber_identification(inv, x)
+            m, n = minimal_open(psi.source, x), minimal_open(psi.target, psi(x))
+            self.germs[m] = n, f.restrict(m, psi.preimage(n)).map, beta.map
+        self.lifts = cover_lifts(f, psi.source.sorted_opens())
+        self.legs = {w: [h.restrict(m, w).map for m in parts]
+                     for w, (parts, _) in self.lifts.items()}
+
+
+def _sharp(u: PsiMorphism, t: _Transport) -> PresheafMorphism:
+    """``sharp`` for a caller that has already checked that u.target is a
+    sheaf and the pair's sheaf is functorial.
+
+    The component at W lifts, over W's minimal covering, the germs that
+    each part's map H(U_x) → F(U_x) transports: undo β_x, apply u at V_ψ(x),
+    restrict to U_x.  H and F are functorial, so for u out of the pair's G
+    the result is natural.
+    """
+    h = t.inv.sheaf
+    build = (_natural_morphism if presheaves_equal(u.source, t.inv.source)
+             else PresheafMorphism)
+    carry = {m: {germ: restrict[u.body.components[n].map[g]] for g, germ in beta.items()}
+             for m, (n, restrict, beta) in t.germs.items()}
     components = {}
-    for w in x_space.sorted_opens():
-        legs = [(f.restrict(m, w).map, {s: along[r] for s, r in h.restrict(m, w).map.items()})
-                for m, along in (carry[x] for x in sorted(w))]
-        table = unique_lifts(
-            h.sections[w].elements, f.sections[w].elements, legs,
+    for w, (parts, index) in t.lifts.items():
+        table = lookup_lifts(
+            index, h.sections[w].elements,
+            [{s: carry[m][r] for s, r in res.items()} for m, res in zip(parts, t.legs[w])],
             lambda s, n: NotInverseImagePair(
                 f"transported germs over {open_key(w)!r} match {n} sections"))
-        components[w] = ValueMorphism(h.sections[w], f.sections[w], table)
-    return PresheafMorphism(h, f, components)
+        components[w] = ValueMorphism(h.sections[w], t.f.sections[w], table)
+    return build(h, t.f, components)
 
 
-def flat(nu: PresheafMorphism, inv: InverseImage) -> PsiMorphism:
-    """The other transposition: ν ↦ ψ_*(ν) ∘ unit."""
-    body = compose_morphisms(pushforward_morphism(inv.psi, nu), inv.unit)
-    return PsiMorphism(inv.psi, inv.source, nu.target, body)
+def flat(nu: PresheafMorphism, inv: InverseImage, pushed: Presheaf | None = None) -> PsiMorphism:
+    """The other transposition: ν ↦ ψ_*(ν) ∘ unit, whose component at V is
+    ν's at ψ⁻¹(V) after the unit's at V.  ``pushed`` is ψ_*F for ν's target
+    F, for a caller that transposes many ν into one F."""
+    psi = inv.psi
+    if pushed is None:
+        pushed = pushforward(psi, nu.target)
+    build = _natural_morphism if presheaves_equal(nu.source, inv.sheaf) else PresheafMorphism
+    body = build(inv.source, pushed, {
+        v: compose(nu.components[psi.preimage(v)], inv.unit.components[v])
+        for v in psi.target.opens})
+    return PsiMorphism(psi, inv.source, nu.target, body)
 
 
 def pullback_of_morphism(psi: ContinuousMap, u: PresheafMorphism,
@@ -354,13 +390,17 @@ def counit(f: Presheaf, psi: ContinuousMap,
 
 @dataclass
 class AdjunctionWitness:
-    forward: dict[str, str]   # label of ν ∈ Hom_X(ψ*G, F) -> label of ν♭
-    backward: dict[str, str]  # label of u ∈ Hom_Y(G, ψ_*F) -> label of u♯
     hom_upstairs: int
     hom_downstairs: int
     verdict: bool
     # (ν, ν♭) for every ν ∈ Hom_X(ψ*G, F), in enumeration order
     transpositions: list[tuple[PresheafMorphism, PresheafMorphism]]
+
+
+def _table_key(m: PresheafMorphism, opens: list[PointSet]) -> tuple[str, ...]:
+    """The images of every section over ``opens``, in section order: equal
+    keys are equal morphisms between the same presheaves."""
+    return tuple(m.components[w].map[s] for w in opens for s in m.source.sections[w].elements)
 
 
 def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
@@ -369,51 +409,40 @@ def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
     """Enumerate both Hom-sets and verify ♭ and ♯ are mutually inverse.
 
     Both Hom-sets land in a sheaf, F and ψ_*F, so ``homs_into_sheaf``
-    enumerates them, each under the work cap ``max_homs``.
+    enumerates them, each under the work cap ``max_homs``.  Each transpose
+    is found in the other Hom-set by its component tables.
     ``naturality_probe`` is a morphism F → F₂ of sheaves used to check the
     transposition commutes with postcomposition.
     """
+    if f.space != psi.source:
+        raise NotContinuous("sheaf does not live on the map's source")
     _require_sheaf(f)
     inv = pullback(psi, g)
-    upstairs = homs_into_sheaf(inv.sheaf, f, max_homs=max_homs)
-    downstairs = homs_into_sheaf(g, pushforward(psi, f), max_homs=max_homs)
-    # each label is built once; an image's label is replaced by the equal
-    # string already held for its Hom-set
-    up_keys = [m.label() for m in upstairs]
-    down_keys = [m.label() for m in downstairs]
-    up_labels, down_labels = dict(zip(up_keys, up_keys)), dict(zip(down_keys, down_keys))
-    forward, backward = {}, {}
-    transpositions = []
-    verdict = True
-    for nu, key in zip(upstairs, up_keys):
-        image = flat(nu, inv).body
-        transpositions.append((nu, image))
-        lbl = image.label()
-        forward[key] = down_labels.get(lbl, lbl)
-        if lbl not in down_labels:
-            verdict = False
-    for u, key in zip(downstairs, down_keys):
-        lbl = _sharp(PsiMorphism(psi, g, f, u), inv).label()
-        backward[key] = up_labels.get(lbl, lbl)
-        if lbl not in up_labels:
-            verdict = False
-    if verdict:
-        verdict = (
-            len(upstairs) == len(downstairs)
-            and all(backward[forward[k]] == k for k in forward)
-            and all(forward[backward[k]] == k for k in backward)
-        )
+    pushed = pushforward(psi, f)
+    # f is checked above and g by pullback; ψ*G and ψ_*F are functorial
+    # by construction
+    upstairs = _homs_into_sheaf(inv.sheaf, f, max_homs, functorial=True)
+    downstairs = _homs_into_sheaf(g, pushed, max_homs, functorial=True)
+    opens_x, opens_y = psi.source.sorted_opens(), psi.target.sorted_opens()
+    up_index = {_table_key(nu, opens_x): n for n, nu in enumerate(upstairs)}
+    down_index = {_table_key(u, opens_y): n for n, u in enumerate(downstairs)}
+    transpositions = [(nu, flat(nu, inv, pushed).body) for nu in upstairs]
+    forward = [down_index.get(_table_key(image, opens_y)) for _, image in transpositions]
+    transport = _Transport(inv, f)
+    backward = [up_index.get(_table_key(_sharp(PsiMorphism(psi, g, f, u), transport), opens_x))
+                for u in downstairs]
+    verdict = (len(upstairs) == len(downstairs)
+               and all(j is not None and backward[j] == i for i, j in enumerate(forward))
+               and all(i is not None and forward[i] == j for j, i in enumerate(backward)))
     if verdict and naturality_probe is not None:
         w = naturality_probe
         _require_sheaf(w.target)
-        for nu in upstairs:
-            left = flat(compose_morphisms(w, nu), inv).body
-            right = [pushforward_morphism(psi, w), flat(nu, inv).body]
-            if not composites_agree([left], right, left.source.space.opens):
-                verdict = False
-                break
-    return AdjunctionWitness(forward, backward, len(upstairs), len(downstairs), verdict,
-                             transpositions)
+        pushed_w = pushforward_morphism(psi, w)
+        verdict = all(
+            composites_agree([flat(compose_morphisms(w, nu), inv, pushed_w.target).body],
+                             [pushed_w, image], psi.target.opens)
+            for nu, image in transpositions)
+    return AdjunctionWitness(len(upstairs), len(downstairs), verdict, transpositions)
 
 
 # -- canonical comparisons ------------------------------------------------------

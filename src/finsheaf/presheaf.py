@@ -37,6 +37,7 @@ from .topology import (
 from .values import (
     Diagram,
     FINSET,
+    LiftIndex,
     LimitResult,
     Poset,
     ValueMorphism,
@@ -53,9 +54,10 @@ from .values import (
     is_identity,
     limit,
     limit_families,
+    lift_index,
+    lookup_lifts,
     singleton,
     tupling,
-    unique_lifts,
 )
 
 
@@ -147,6 +149,13 @@ class PresheafMorphism:
     components: dict[PointSet, ValueMorphism]
 
     def __post_init__(self):
+        self._check_endpoints()
+        for u, v in self.source.inclusion_pairs():
+            if not _natural_at(self.source, self.target, self.components, u, v):
+                raise ValueMismatch(
+                    f"component square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
+
+    def _check_endpoints(self) -> None:
         if self.source.space != self.target.space:
             raise ValueMismatch("morphism endpoints live on different spaces")
         if self.source.category != self.target.category:
@@ -157,10 +166,6 @@ class PresheafMorphism:
             c = self.components[u]
             if c.source != self.source.sections[u] or c.target != self.target.sections[u]:
                 raise ValueMismatch(f"component at {open_key(u)!r} connects wrong objects")
-        for u, v in self.source.inclusion_pairs():
-            if not _natural_at(self.source, self.target, self.components, u, v):
-                raise ValueMismatch(
-                    f"component square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
 
     def is_isomorphism(self) -> bool:
         return all(c.is_bijective() for c in self.components.values())
@@ -183,12 +188,26 @@ def _natural_at(p: Presheaf | BasisPresheaf, q: Presheaf | BasisPresheaf,
             == composite_table(q.restrict(u, v), components[v]))
 
 
+def _natural_morphism(source: Presheaf, target: Presheaf,
+                      components: dict[PointSet, ValueMorphism]) -> PresheafMorphism:
+    """A morphism that is natural by construction: the endpoint checks of
+    ``PresheafMorphism`` without its naturality squares."""
+    m = PresheafMorphism.__new__(PresheafMorphism)
+    m.source, m.target, m.components = source, target, components
+    m._check_endpoints()
+    return m
+
+
 def identity_morphism(p: Presheaf) -> PresheafMorphism:
     return PresheafMorphism(p, p, {u: identity(p.sections[u]) for u in p.space.opens})
 
 
 def compose_morphisms(outer: PresheafMorphism, inner: PresheafMorphism) -> PresheafMorphism:
-    return PresheafMorphism(
+    """``outer ∘ inner``; natural by construction when ``outer`` starts at the
+    presheaf where ``inner`` ends, and checked square by square otherwise."""
+    build = (_natural_morphism if presheaves_equal(outer.source, inner.target)
+             else PresheafMorphism)
+    return build(
         inner.source, outer.target,
         {u: compose(outer.components[u], inner.components[u])
          for u in inner.source.space.opens})
@@ -757,6 +776,18 @@ def enumerate_presheaf_morphisms(p: Presheaf, q: Presheaf,
             for chosen in _natural_components(p, q, opens, squares, max_homs)]
 
 
+def cover_lifts(f: Presheaf, opens: Iterable[PointSet]
+                ) -> dict[PointSet, tuple[tuple[PointSet, ...], LiftIndex]]:
+    """Per open W of ``opens``, the parts of its minimal covering and the
+    ``lift_index`` of f(W) by restriction to them.  A section of a sheaf is
+    the one lift of its restrictions to those parts."""
+    out = {}
+    for w in opens:
+        parts = f.space.minimal_covering(w).parts
+        out[w] = parts, lift_index(f.sections[w].elements, [f.restrict(m, w).map for m in parts])
+    return out
+
+
 def homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int = 10 ** 6) -> list[PresheafMorphism]:
     """All morphisms from a functorial presheaf p into a sheaf f, in the order
     of ``enumerate_presheaf_morphisms``.
@@ -767,6 +798,14 @@ def homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int = 10 ** 6) -> list[P
     W's minimal covering, which glues uniquely in f.  The work cap counts as
     in ``_natural_components``.
     """
+    return _homs_into_sheaf(p, f, max_homs, validate_presheaf(p) and validate_presheaf(f))
+
+
+def _homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int,
+                     functorial: bool) -> list[PresheafMorphism]:
+    """``homs_into_sheaf`` for a caller that knows whether p and f are
+    functorial.  If they are, every morphism it lifts is natural, and its
+    squares are not checked again."""
     space = p.space
     if space != f.space:
         raise ValueMismatch("presheaves live on different spaces")
@@ -779,15 +818,16 @@ def homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int = 10 ** 6) -> list[P
                 squares[max(i, j)].append((a, b))
     opens = space.sorted_opens()
     positions = set(minimal)
-    rest = [w for w in opens if w not in positions]
+    lifts = cover_lifts(f, [w for w in opens if w not in positions])
+    legs = {w: [p.restrict(m, w) for m in parts] for w, (parts, _) in lifts.items()}
+    build = _natural_morphism if functorial else PresheafMorphism
     rank = {w: {t: n for n, t in enumerate(f.sections[w].elements)} for w in opens}
     found = []
     for comps in _natural_components(p, f, minimal, squares, max_homs):
-        for w in rest:
-            legs = [(f.restrict(m, w).map, composite_table(comps[m], p.restrict(m, w)))
-                    for m in space.minimal_covering(w).parts]
-            comps[w] = ValueMorphism(p.sections[w], f.sections[w], unique_lifts(
-                p.sections[w].elements, f.sections[w].elements, legs,
+        for w, (parts, index) in lifts.items():
+            prescribed = [composite_table(comps[m], r) for m, r in zip(parts, legs[w])]
+            comps[w] = ValueMorphism(p.sections[w], f.sections[w], lookup_lifts(
+                index, p.sections[w].elements, prescribed,
                 lambda s, n: NotASheaf(
                     f"over {open_key(w)!r}, {n} sections of the target fit {s!r}")))
         # the oracle's order: lex over the sorted opens of each component's
@@ -795,7 +835,7 @@ def homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int = 10 ** 6) -> list[P
         key = tuple(rank[w][comps[w].map[s]] for w in opens for s in p.sections[w].elements)
         found.append((key, comps))
     found.sort(key=lambda item: item[0])
-    return [PresheafMorphism(p, f, comps) for _, comps in found]
+    return [build(p, f, comps) for _, comps in found]
 
 
 # -- constant presheaves and the irreducible-space equivalence ---------------

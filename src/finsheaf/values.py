@@ -391,16 +391,27 @@ def compatible_families(domains: Sequence[Sequence[str]],
             yield combo
 
 
-def unique_lifts(sources: Iterable[str], targets: Iterable[str], legs: Sequence[tuple],
-                 error: Callable[[str, int], Exception]) -> dict[str, str]:
-    """The table s ↦ t of the one target t with restrict[t] = prescribed[s] along
-    every leg (restrict, prescribed); raises ``error(s, n)`` if n ≠ 1 targets fit s."""
-    by_restrictions: dict[tuple, list[str]] = {}
+LiftIndex = dict[tuple, list[str]]
+
+
+def lift_index(targets: Iterable[str], restricts: Sequence[Mapping[str, str]]) -> LiftIndex:
+    """The targets t keyed by their restrictions (r[t] for each r in ``restricts``):
+    the half of a unique gluing that depends only on the target, built once."""
+    index: LiftIndex = {}
     for t in targets:
-        by_restrictions.setdefault(tuple(r[t] for r, _ in legs), []).append(t)
+        index.setdefault(tuple(r[t] for r in restricts), []).append(t)
+    return index
+
+
+def lookup_lifts(index: LiftIndex, sources: Iterable[str],
+                 prescribed: Sequence[Mapping[str, str]],
+                 error: Callable[[str, int], Exception]) -> dict[str, str]:
+    """The table s ↦ t of the one target t in ``index`` whose restrictions are
+    (p[s] for each p in ``prescribed``), taken in the order of the index's
+    restrictions; raises ``error(s, n)`` if n ≠ 1 targets fit s."""
     table = {}
     for s in sources:
-        found = by_restrictions.get(tuple(p[s] for _, p in legs), [])
+        found = index.get(tuple(p[s] for p in prescribed), ())
         if len(found) != 1:
             raise error(s, len(found))
         table[s] = found[0]

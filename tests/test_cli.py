@@ -230,6 +230,25 @@ class TestCommandLineErrors:
         assert code == 0
         assert doc["payload"]["hom_upstairs"] == doc["payload"]["hom_downstairs"] == 16
 
+    def test_sheaf_on_the_wrong_space_fails_before_the_pullback(self, capsys, monkeypatch):
+        """The map starts at the discrete 2-point space; the sheaf lives on
+        the Sierpiński space."""
+        import finsheaf.functors
+
+        def no_pullback(*args):
+            raise AssertionError("pullback built for a sheaf on the wrong space")
+
+        monkeypatch.setattr(finsheaf.functors, "pullback", no_pullback)
+        code = main(["adjunction-test", "--map", fixture("disc2_to_pt.map.json"),
+                     "--presheaf", fixture("pt_two.presheaf.json"),
+                     "--sheaf", fixture("sierp_sheaf.presheaf.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert (err["error"], err["message"]) == (
+            "NotContinuous", "sheaf does not live on the map's source")
+
 
 CONST_A = {"a": "a", "b": "a"}
 SWAP = {"a": "b", "b": "a"}

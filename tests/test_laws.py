@@ -2,12 +2,17 @@
 
 The functor laws (``values.is_identity``, ``values.first_bad_composite``),
 the homomorphism law (``values.first_bad_sum``) and the naturality squares
-of a ψ-family (checked by the unique-gluing lookup, ``values.unique_lifts``)
-are each compared with the hand-written loop they replaced.  So are the one
-limit presheaf (``presheaf.limit_presheaf`` over ``values.limit_families``)
-and the one map into a basis extension (``BasisExtension.lift``), against
-the per-open ``limit`` of a checked ``Diagram`` and the inverse image's own
-family loop.
+of a ψ-family (checked by the unique-gluing lookup, ``values.lift_index``
+and ``values.lookup_lifts``) are each compared with the hand-written loop
+they replaced.  So are the one limit presheaf (``presheaf.limit_presheaf``
+over ``values.limit_families``) and the one map into a basis extension
+(``BasisExtension.lift``), against the per-open ``limit`` of a checked
+``Diagram`` and the inverse image's own family loop.
+
+Morphisms that are natural by construction skip the square check of
+``PresheafMorphism``; the all-pairs square loop stays here and checks every
+morphism those constructions return.  The adjunction compares transposes
+by component tables; its former label-keyed comparison stays here too.
 """
 
 import random
@@ -17,9 +22,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsheaf import fixtures as fx
+from finsheaf import functors
 from finsheaf.canon import open_key
 from finsheaf.errors import IncompatibleFamily, NotAMorphism
-from finsheaf.functors import PsiMorphism, psi_morphism_from_family, pullback, pushforward
+from finsheaf.functors import (
+    PsiMorphism,
+    check_adjunction,
+    flat,
+    psi_morphism_from_family,
+    pullback,
+    pushforward,
+    pushforward_morphism,
+)
 from finsheaf.oracles import (
     enumerate_basis_presheaves,
     enumerate_presheaves,
@@ -28,14 +42,23 @@ from finsheaf.oracles import (
 from finsheaf.presheaf import (
     BasisPresheaf,
     Presheaf,
+    compose_morphisms,
     constant_presheaf,
     enumerate_presheaf_morphisms,
     extend_from_basis,
+    homs_into_sheaf,
+    identity_morphism,
     restrict_to_basis,
     validate_presheaf,
 )
 from finsheaf.stalks import restriction_diagram, stalk
-from finsheaf.topology import Basis, ContinuousMap, check_continuous, minimal_open
+from finsheaf.topology import (
+    Basis,
+    ContinuousMap,
+    check_continuous,
+    identity_map,
+    minimal_open,
+)
 from finsheaf.values import (
     FINAB,
     ValueMorphism,
@@ -53,7 +76,9 @@ from finsheaf.values import (
     limit,
     tupling,
 )
+from test_acceptance import adjunction_pool
 from test_functors import family_of_psi_morphism
+from test_homs import SMALL_TOPOLOGIES, map_to_point, minimal_basis, small_sheaves, tables
 from test_properties import linearized, random_continuous_map, random_presheaf
 
 
@@ -336,3 +361,141 @@ def test_limit_presheaf_and_lift_match_the_references_on_three_points(space, tar
         psi = random_continuous_map(space, target, rng)
         g = random_presheaf(target, rng, max_size=2)
         assert_pullback_matches(psi, linearized(g, 2) if z2 else g)
+
+
+# -- morphisms natural by construction --------------------------------------------
+
+def squares_reference(m) -> bool:
+    """The former all-pairs loop of ``PresheafMorphism.__post_init__``: every
+    square u ⊆ v commutes."""
+    for u, v in m.source.inclusion_pairs():
+        if (composite_table(m.components[u], m.source.restrict(u, v))
+                != composite_table(m.target.restrict(u, v), m.components[v])):
+            return False
+    return True
+
+
+def built_without_squares(psi, g, f):
+    """Every morphism that ``homs_into_sheaf``, ``_sharp``, ``flat``,
+    ``compose_morphisms`` and ``pushforward_morphism`` build for the
+    adjunction of (ψ, G, F), as ``check_adjunction`` builds them.
+    ψ_*(ν) ∘ unit, the former ``flat``, must equal ``flat``'s ν♭."""
+    inv = pullback(psi, g)
+    pushed_f = pushforward(psi, f)
+    upstairs = homs_into_sheaf(inv.sheaf, f)
+    downstairs = homs_into_sheaf(g, pushed_f)
+    built = upstairs + downstairs
+    for nu in upstairs:
+        image = flat(nu, inv, pushed_f).body
+        pushed = pushforward_morphism(psi, nu)
+        composite = compose_morphisms(pushed, inv.unit)
+        assert tables([composite, flat(nu, inv).body]) == tables([image, image])
+        built += [image, pushed, composite, compose_morphisms(nu, identity_morphism(inv.sheaf))]
+    transport = functors._Transport(inv, f)
+    built += [functors._sharp(PsiMorphism(psi, g, f, u), transport) for u in downstairs]
+    return built
+
+
+def test_morphisms_built_without_squares_are_natural_on_two_points():
+    """``tests/test_homs.py``'s pool: every FinSet presheaf G with |G(U)| ≤ 2
+    and every sheaf F with stalks of size ≤ 2 on each topology with at most
+    2 points, along the identity (sheafification); and every such F with
+    every G on the point, along the map to the point."""
+    instances = morphisms = 0
+    point = fx.point_space()
+    for space in SMALL_TOPOLOGIES:
+        sheaves = [extend_from_basis(bp).presheaf for bp in small_sheaves(space)]
+        maps = [(identity_map(space), list(enumerate_presheaves(space)))]
+        if space.points:
+            maps.append((map_to_point(space), list(enumerate_presheaves(point))))
+        for psi, presheaves in maps:
+            for g in presheaves:
+                for f in sheaves:
+                    built = built_without_squares(psi, g, f)
+                    assert all(squares_reference(m) for m in built)
+                    instances += 1
+                    morphisms += len(built)
+    assert (instances, morphisms) == (3751, 56581)
+
+
+@given(st.sampled_from(THREE_POINTS), st.sampled_from(UP_TO_TWO_POINTS[1:] + THREE_POINTS),
+       st.booleans(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_morphisms_built_without_squares_are_natural_on_three_points(space, target, z2, seed):
+    """A random map from a 3-point topology, a random sheaf upstairs and a
+    random presheaf downstairs, FinSet or Z/2-spans.  A Z/2-span downstairs
+    spans a presheaf with |G(U)| ≤ 1, so the Hom-sets stay small."""
+    rng = random.Random(seed)
+    psi = random_continuous_map(space, target, rng)
+    g = random_presheaf(target, rng, 1 if z2 else 2)
+    bp = restrict_to_basis(random_presheaf(space, rng, 2), minimal_basis(space))
+    if z2:
+        g, bp = linearized(g, 2), linearized(bp, 2)
+    assert all(squares_reference(m)
+               for m in built_without_squares(psi, g, extend_from_basis(bp).presheaf))
+
+
+# -- the adjunction on component tables -------------------------------------------
+
+def adjunction_reference(psi, g, f):
+    """The former label-keyed comparison of ``check_adjunction``, over the
+    all-opens Hom-sets: (verdict, Hom counts, transposition tables)."""
+    inv = pullback(psi, g)
+    upstairs = enumerate_presheaf_morphisms(inv.sheaf, f)
+    downstairs = enumerate_presheaf_morphisms(g, pushforward(psi, f))
+    up_labels = {m.label() for m in upstairs}
+    down_labels = {m.label() for m in downstairs}
+    forward, backward = {}, {}
+    transpositions = []
+    verdict = True
+    for nu in upstairs:
+        image = functors.flat(nu, inv).body
+        transpositions.append((nu, image))
+        forward[nu.label()] = lbl = image.label()
+        verdict = verdict and lbl in down_labels
+    for u in downstairs:
+        backward[u.label()] = lbl = functors.sharp(PsiMorphism(psi, g, f, u), inv).label()
+        verdict = verdict and lbl in up_labels
+    if verdict:
+        verdict = (len(upstairs) == len(downstairs)
+                   and all(backward[forward[k]] == k for k in forward)
+                   and all(forward[backward[k]] == k for k in backward))
+    return verdict, len(upstairs), len(downstairs), [
+        (tables([nu]), tables([image])) for nu, image in transpositions]
+
+
+def adjunction_tables(w):
+    return w.verdict, w.hom_upstairs, w.hom_downstairs, [
+        (tables([nu]), tables([image])) for nu, image in w.transpositions]
+
+
+def test_table_comparison_matches_the_label_comparison_on_the_curated_pool():
+    triples = adjunction_pool()
+    for psi, g, f in triples:
+        assert adjunction_tables(check_adjunction(psi, g, f)) == adjunction_reference(psi, g, f)
+    assert len(triples) == 23
+
+
+def crossing(original):
+    """``original`` with the image of its second call replaced by that of
+    its first: two elements of one Hom-set transpose to the same one."""
+    images = []
+
+    def crossed(m, *rest):
+        images.append(original(m, *rest))
+        return images[0] if len(images) == 2 else images[-1]
+    return crossed
+
+
+@pytest.mark.parametrize("name", ["flat", "_sharp"])
+def test_verdict_is_false_when_a_transpose_lands_on_another_element(name, monkeypatch):
+    space = fx.disc2()[0]
+    psi, g = fx.disc2_to_pt(), constant_presheaf(fx.point_space(), finset(["g0", "g1"]))
+    f = fx.locally_constant_sheaf(space, finset(["0", "1"]))
+    assert check_adjunction(psi, g, f).verdict is True
+    original = getattr(functors, name)
+    monkeypatch.setattr(functors, name, crossing(original))
+    w = check_adjunction(psi, g, f)
+    assert (w.verdict, w.hom_upstairs, w.hom_downstairs) == (False, 16, 16)
+    monkeypatch.setattr(functors, name, crossing(original))
+    assert adjunction_reference(psi, g, f)[:3] == (False, 16, 16)

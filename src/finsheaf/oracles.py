@@ -5,6 +5,10 @@ instances: all labeled topologies on a few points, and all presheaves
 with bounded section sets over such a space or over a basis of it.  The
 enumerators share value objects and morphisms aggressively; at three
 points the presheaf count already reaches the hundreds of thousands.
+
+Topologies come in a fixed order (see ``enumerate_topologies``), which the
+sweep benchmark's seeded draw depends on, and cost one ``FiniteSpace``
+each: 355 on four points, 6,942 on five.
 """
 
 from __future__ import annotations
@@ -13,25 +17,73 @@ from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from .presheaf import BasisPresheaf, Presheaf
-from .topology import Basis, FiniteSpace, PointSet
+from .topology import Basis, FiniteSpace, PointSet, unions_of_minimal_opens
 from .values import FINSET, ValueMorphism, ValueObject
 
 _LABELS = ("s0", "s1", "s2", "s3")
 
 
 def enumerate_topologies(points: list[str]) -> list[FiniteSpace]:
-    """All labeled topologies on the given points (29 on three points)."""
-    pts = frozenset(points)
-    proper = [frozenset(c)
-              for r in range(1, len(points))
-              for c in combinations(sorted(pts), r)]
-    out = []
-    for r in range(len(proper) + 1):
-        for combo in combinations(proper, r):
-            fam = set(combo) | {frozenset(), pts}
-            if all(a | b in fam and a & b in fam for a in fam for b in fam):
-                out.append(FiniteSpace(pts, fam))
-    return out
+    """All labeled topologies on the given points (29 on three, 6,942 on five).
+
+    Order contract: by the number of proper opens (neither empty nor
+    full), then by the positions of those opens in the list of proper
+    subsets, taken by size and then lexicographically on the sorted
+    labels.  That is the order of a scan over all families of proper
+    subsets, kept as the reference in the tests.  The sweep benchmark
+    draws topologies by their position in this list, and criterion 01
+    counts over it, so it must stay complete, repeat-free and in order.
+
+    Cost: each topology is a preorder on the points, walked as its map
+    x ↦ U_x of minimal opens, and its opens are the unions of the U_x.
+    The work is bounded by the answer, and building one ``FiniteSpace``
+    per topology dominates it.
+    """
+    labels = sorted(set(points))
+    n = len(labels)
+    full = frozenset(labels)
+    proper = []
+    rank = {}
+    for r in range(1, n):
+        for combo in combinations(range(n), r):
+            rank[sum(1 << i for i in combo)] = len(proper)
+            proper.append(frozenset(labels[i] for i in combo))
+    keys = sorted(
+        (tuple(sorted(rank[u] for u in unions_of_minimal_opens(minimal) if u in rank))
+         for minimal in _minimal_open_maps(n)),
+        key=lambda k: (len(k), k))
+    return [FiniteSpace(full, [frozenset(), full, *(proper[i] for i in k)]) for k in keys]
+
+
+def _minimal_open_maps(n: int) -> Iterator[list[int]]:
+    """Every map x ↦ U_x on n points, as bitmasks, with x ∈ U_x and
+    y ∈ U_x ⇒ U_y ⊆ U_x: one per preorder, hence one per topology.
+
+    Points are bound in order.  U_x ranges over the sets that contain x
+    and lie inside every earlier U_y containing x; it is kept when it
+    contains U_y for every earlier point y in it.
+    """
+    chosen: list[int] = []
+
+    def rec(x: int) -> Iterator[list[int]]:
+        if x == n:
+            yield list(chosen)
+            return
+        bit = 1 << x
+        bound = (1 << n) - 1
+        for v in chosen:
+            if v & bit:
+                bound &= v
+        u = bound
+        while True:
+            if u & bit and all(not u >> y & 1 or chosen[y] | u == u for y in range(x)):
+                chosen.append(u)
+                yield from rec(x + 1)
+                chosen.pop()
+            if not u:
+                break
+            u = (u - 1) & bound
+    yield from rec(0)
 
 
 class _SharedTables:

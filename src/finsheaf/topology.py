@@ -238,8 +238,8 @@ def compose_maps(outer: ContinuousMap, inner: ContinuousMap) -> ContinuousMap:
 def space_from_basis(points: Iterable[str], generators: Iterable[Iterable[str]]) -> tuple[FiniteSpace, Basis]:
     """Coarsest topology containing the generators, plus the recorded basis.
 
-    Closes the generator family under pairwise union and intersection and
-    adds the empty and full sets.
+    The minimal open U_x of that topology is the intersection of the
+    generators containing x, and its opens are the unions of the U_x.
     """
     pts = frozenset(_check_label(p) for p in points)
     gens = {_labels_of(g) for g in generators}
@@ -248,19 +248,32 @@ def space_from_basis(points: Iterable[str], generators: Iterable[Iterable[str]])
             raise UnknownPoint(f"generator {open_key(g)!r} contains unknown points")
     if frozenset().union(*gens, frozenset()) != pts:
         raise GeneratorsDoNotCover("generators do not cover the point set")
-    opens = set(gens) | {frozenset(), pts}
-    while True:
-        new = set()
-        for a in opens:
-            for b in opens:
-                for c in (a | b, a & b):
-                    if c not in opens:
-                        new.add(c)
-        if not new:
-            break
-        opens |= new
+    labels = sorted(pts)
+    masks = [sum(1 << i for i, p in enumerate(labels) if p in g) for g in gens]
+    full = (1 << len(labels)) - 1
+    minimal = []
+    for i in range(len(labels)):
+        u = full
+        for m in masks:
+            if m >> i & 1:
+                u &= m
+        minimal.append(u)
+    opens = [frozenset(p for i, p in enumerate(labels) if u >> i & 1)
+             for u in unions_of_minimal_opens(minimal)]
     space = FiniteSpace(pts, opens)
     return space, Basis(space, frozenset(gens))
+
+
+def unions_of_minimal_opens(minimal: Iterable[int]) -> set[int]:
+    """Every union of the given minimal opens, as bitmasks, the empty one included.
+
+    On a finite space every open is the union of the U_x of its points, so
+    these are all the opens; the work is n steps over the opens found so far.
+    """
+    opens = {0}
+    for m in minimal:
+        opens |= {u | m for u in opens}
+    return opens
 
 
 def minimal_open(space: FiniteSpace, x: str) -> PointSet:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finsheaf import fixtures as fx
-from finsheaf.errors import GeneratorsDoNotCover, NotAnOpen, UnknownPoint
+from finsheaf.errors import GeneratorsDoNotCover, MalformedSpace, NotAnOpen, UnknownPoint
 from finsheaf.topology import (
+    Basis,
     ContinuousMap,
     Covering,
     FiniteSpace,
@@ -39,7 +40,67 @@ def union_of_intersections_oracle(points, generators):
     return opens
 
 
+def closure_reference(points, generators):
+    """``space_from_basis`` by closing the generators, the empty set and the
+    full set under pairwise union and intersection until nothing is new."""
+    pts = frozenset(points)
+    gens = frozenset(frozenset(g) for g in generators)
+    opens = set(gens) | {frozenset(), pts}
+    while True:
+        new = {c for a in opens for b in opens for c in (a | b, a & b)} - opens
+        if not new:
+            break
+        opens |= new
+    space = FiniteSpace(pts, opens)
+    return space, Basis(space, gens)
+
+
+def covering_families(points):
+    """Every family of subsets of ``points`` whose union is all of them."""
+    candidates = [frozenset(c) for r in range(len(points) + 1) for c in combinations(points, r)]
+    return [family for r in range(len(candidates) + 1)
+            for family in combinations(candidates, r)
+            if frozenset().union(*family) == frozenset(points)]
+
+
+def outcome(build, points, family):
+    """The space and basis built, or the error raised: generators whose
+    intersections are not unions of them make no ``Basis``."""
+    try:
+        return build(points, family)
+    except MalformedSpace as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def generator_families(draw):
+    points = ["p", "q", "r", "s", "t"][:draw(st.integers(min_value=4, max_value=5))]
+    family = draw(st.lists(st.sets(st.sampled_from(points)), max_size=8))
+    uncovered = set(points).difference(*family)
+    if uncovered:
+        family.append(uncovered)
+    return points, family
+
+
 class TestSpaceFromBasis:
+    def test_matches_closure_on_every_covering_family_up_to_three_points(self):
+        for points in ([], ["a"], ["a", "b"], ["a", "b", "c"]):
+            for family in covering_families(points):
+                assert (outcome(space_from_basis, points, family)
+                        == outcome(closure_reference, points, family))
+
+    @given(generator_families())
+    def test_matches_closure_on_four_and_five_points(self, case):
+        points, family = case
+        assert (outcome(space_from_basis, points, family)
+                == outcome(closure_reference, points, family))
+
+    def test_error_messages(self):
+        with pytest.raises(UnknownPoint, match=r"^generator '0,y' contains unknown points$"):
+            space_from_basis(["0"], [["0", "z"], ["0", "y"]])
+        with pytest.raises(GeneratorsDoNotCover, match=r"^generators do not cover the point set$"):
+            space_from_basis(["0", "1"], [["1"]])
+
     def test_sierpinski(self):
         space, basis = space_from_basis(["0", "1"], [["1"], ["0", "1"]])
         assert space.opens == {frozenset(), frozenset({"1"}), frozenset({"0", "1"})}

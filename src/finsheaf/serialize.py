@@ -17,7 +17,7 @@ from .canon import open_key, write_canonical
 from .errors import CrossReferenceError, ParseError
 from .gluing import GluingDatum
 from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism, SheafDiagram
-from .topology import Basis, ContinuousMap, FiniteSpace, PointSet, subspace
+from .topology import Basis, ContinuousMap, FiniteSpace, PointSet, space_from_generators, subspace
 from .values import FINAB, FINSET, Poset, ValueMorphism, ValueObject, group_from_triples
 
 SPACE_SCHEMA = "finsheaf.space/1"
@@ -46,9 +46,7 @@ def space_from_payload(payload: dict) -> FiniteSpace:
         if "opens" in payload:
             return FiniteSpace(points, payload["opens"])
         if "basis" in payload:
-            from .topology import space_from_basis
-
-            return space_from_basis(points, payload["basis"])[0]
+            return space_from_generators(points, payload["basis"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad space payload: {exc}") from exc
     raise ParseError("space payload needs 'opens' or 'basis'")

@@ -1,9 +1,11 @@
 """Finite topological spaces, bases, coverings, and continuous maps.
 
 A space is a finite point set with an explicit family of open sets closed
-under union and intersection.  Spaces are immutable after construction:
-minimal open neighborhoods and the closure table are precomputed, and all
-enumerations come back in lexicographic order on sorted point labels.
+under union and intersection.  Spaces are immutable after construction.
+Their primary data are the minimal open neighborhoods U_x, the smallest
+basis: the topology check, closures and irreducibility are read off them,
+and inclusion pairs are built on first use.  All enumerations come back
+in lexicographic order on sorted point labels.
 
 Three covering enumerators share one signature ``(space, u)``.  The sheaf
 check's default, ``minimal_open_coverings``, gives one covering per open:
@@ -53,30 +55,38 @@ class FiniteSpace:
 
     ``opens`` must contain the empty set and the full point set and be
     closed under pairwise union and intersection (which suffices for
-    arbitrary ones on a finite space).
+    arbitrary ones on a finite space).  The minimal opens U_x are the
+    primary data; inclusion pairs and minimal coverings are built on first use.
     """
+
+    _inclusion_pairs: list[tuple[PointSet, PointSet]] | None = None
+    _minimal_coverings: dict[PointSet, Covering] | None = None
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
         self.points: PointSet = frozenset(_check_label(p) for p in points)
-        self.opens: frozenset[PointSet] = frozenset(_labels_of(u) for u in opens)
-        self._sorted_opens: list[PointSet] = sort_opens(self.opens)
-        self._validate()
-        self._minimal: dict[str, PointSet] = {
-            x: frozenset.intersection(*[u for u in self.opens if x in u])
-            for x in self.points
-        }
-        closed = [self.points - u for u in self.opens]
-        self._closure_of_point: dict[str, PointSet] = {
-            x: frozenset.intersection(*[c for c in closed if x in c])
-            for x in self.points
-        }
-        self._inclusion_pairs: list[tuple[PointSet, PointSet]] = [
-            (u, v) for u in self._sorted_opens for v in self._sorted_opens if u <= v
-        ]
-        self._minimal_coverings: dict[PointSet, Covering] | None = None
+        self._sorted_opens: list[PointSet] = sort_opens({_labels_of(u) for u in opens})
+        self.opens: frozenset[PointSet] = frozenset(self._sorted_opens)
+        self._minimal: dict[str, PointSet] = self._validate()
 
-    def _validate(self) -> None:
-        """Checks in sorted order, so an error names the same opens every run."""
+    @classmethod
+    def _closed(cls, points: PointSet, sorted_opens: list[PointSet],
+                minimal: dict[str, PointSet]) -> FiniteSpace:
+        """The space with these minimal opens, given every union of them in
+        sorted order: closed by construction, so nothing is re-checked."""
+        space = cls.__new__(cls)
+        space.points, space._sorted_opens, space._minimal = points, sorted_opens, minimal
+        space.opens = frozenset(sorted_opens)
+        return space
+
+    def _validate(self) -> dict[str, PointSet]:
+        """The minimal opens, once the opens are checked to form a topology.
+
+        A family holding ∅ and the full set is one exactly when it holds
+        every union of its U_x, each member being the union of the U_x of
+        its points.  Building the unions one U_x at a time, as bitmasks,
+        costs O(opens · n); at the first one missing, the pairwise scan in
+        sorted order names the error, the same opens every run.
+        """
         for u in self._sorted_opens:
             if not u <= self.points:
                 raise UnknownPoint(f"open {open_key(u)!r} contains points outside the space")
@@ -84,14 +94,23 @@ class FiniteSpace:
             raise MalformedSpace("topology must contain the empty set")
         if self.points not in self.opens:
             raise MalformedSpace("topology must contain the full point set")
-        for a in self._sorted_opens:
-            for b in self._sorted_opens:
-                if a | b not in self.opens:
-                    raise MalformedSpace(
-                        f"opens not closed under union: {open_key(a)!r} ∪ {open_key(b)!r}")
-                if a & b not in self.opens:
-                    raise MalformedSpace(
-                        f"opens not closed under intersection: {open_key(a)!r} ∩ {open_key(b)!r}")
+        labels = sorted(self.points)
+        bit = {p: 1 << i for i, p in enumerate(labels)}
+        by_mask = {sum(map(bit.__getitem__, u)): u for u in self.opens}
+        minimal = _minimal_masks(by_mask, len(labels))
+        found = {0}
+        for m in minimal:
+            found |= {u | m for u in found}
+            if not by_mask.keys() >= found:
+                for a in self._sorted_opens:
+                    for b in self._sorted_opens:
+                        if a | b not in self.opens:
+                            raise MalformedSpace(f"opens not closed under union: "
+                                                 f"{open_key(a)!r} ∪ {open_key(b)!r}")
+                        if a & b not in self.opens:
+                            raise MalformedSpace(f"opens not closed under intersection: "
+                                                 f"{open_key(a)!r} ∩ {open_key(b)!r}")
+        return {p: by_mask[m] for p, m in zip(labels, minimal)}
 
     # vv Equality is extensional: same points, same opens.
     def __eq__(self, other) -> bool:
@@ -111,7 +130,10 @@ class FiniteSpace:
         return self._sorted_opens
 
     def inclusion_pairs(self) -> list[tuple[PointSet, PointSet]]:
-        """All pairs (u, v) of opens with u ⊆ v, in sorted order."""
+        """All pairs (u, v) of opens with u ⊆ v, in sorted order; built on first use."""
+        if self._inclusion_pairs is None:
+            self._inclusion_pairs = [(u, v) for u in self._sorted_opens
+                                     for v in self._sorted_opens if u <= v]
         return self._inclusion_pairs
 
     def require_open(self, u: Iterable[str]) -> PointSet:
@@ -236,10 +258,19 @@ def compose_maps(outer: ContinuousMap, inner: ContinuousMap) -> ContinuousMap:
 
 
 def space_from_basis(points: Iterable[str], generators: Iterable[Iterable[str]]) -> tuple[FiniteSpace, Basis]:
-    """Coarsest topology containing the generators, plus the recorded basis.
+    """Coarsest topology containing the generators, plus them as its basis,
+    which ``Basis`` refuses when they are only a subbasis."""
+    pts = [_check_label(p) for p in points]  # point labels are named before generator labels
+    gens = frozenset(_labels_of(g) for g in generators)
+    space = space_from_generators(pts, gens)
+    return space, Basis(space, gens)
 
-    The minimal open U_x of that topology is the intersection of the
-    generators containing x, and its opens are the unions of the U_x.
+
+def space_from_generators(points: Iterable[str], generators: Iterable[Iterable[str]]) -> FiniteSpace:
+    """Coarsest topology containing the generators, any family covering the points.
+
+    Its minimal open U_x is the intersection of the generators holding x,
+    and its opens are the unions of the U_x.
     """
     pts = frozenset(_check_label(p) for p in points)
     gens = {_labels_of(g) for g in generators}
@@ -249,19 +280,22 @@ def space_from_basis(points: Iterable[str], generators: Iterable[Iterable[str]])
     if frozenset().union(*gens, frozenset()) != pts:
         raise GeneratorsDoNotCover("generators do not cover the point set")
     labels = sorted(pts)
-    masks = [sum(1 << i for i, p in enumerate(labels) if p in g) for g in gens]
-    full = (1 << len(labels)) - 1
-    minimal = []
-    for i in range(len(labels)):
-        u = full
-        for m in masks:
+    minimal = _minimal_masks([sum(1 << i for i, p in enumerate(labels) if p in g) for g in gens],
+                             len(labels))
+    opens = {u: frozenset(p for i, p in enumerate(labels) if u >> i & 1)
+             for u in unions_of_minimal_opens(minimal)}
+    return FiniteSpace._closed(pts, sort_opens(opens.values()),
+                               {p: opens[m] for p, m in zip(labels, minimal)})
+
+
+def _minimal_masks(sets: Iterable[int], n: int) -> list[int]:
+    """For each of n points, the intersection of the bitmask sets holding it."""
+    minimal = [(1 << n) - 1] * n
+    for m in sets:
+        for i in range(n):
             if m >> i & 1:
-                u &= m
-        minimal.append(u)
-    opens = [frozenset(p for i, p in enumerate(labels) if u >> i & 1)
-             for u in unions_of_minimal_opens(minimal)]
-    space = FiniteSpace(pts, opens)
-    return space, Basis(space, frozenset(gens))
+                minimal[i] &= m
+    return minimal
 
 
 def unions_of_minimal_opens(minimal: Iterable[int]) -> set[int]:
@@ -287,18 +321,16 @@ def closure(space: FiniteSpace, subset: Iterable[str]) -> PointSet:
     s = frozenset(subset)
     for x in s:
         space.require_point(x)
-    out: PointSet = frozenset()
-    for x in s:
-        out = out | space._closure_of_point[x]
-    return out
+    # y lies in the closure iff every open around y meets s, iff U_y does
+    return frozenset(y for y, m in space._minimal.items() if not m.isdisjoint(s))
 
 
 def is_irreducible(space: FiniteSpace) -> bool:
-    """Nonempty, and every pair of nonempty opens meets."""
+    """Nonempty, and every pair of nonempty opens meets: as each contains
+    some U_x, that is every pair of minimal opens meeting."""
     if not space.points:
         return False
-    nonempty = [u for u in space.opens if u]
-    return all(a & b for a in nonempty for b in nonempty)
+    return all(not a.isdisjoint(b) for a, b in combinations(space._minimal.values(), 2))
 
 
 def check_continuous(m: ContinuousMap) -> bool:
@@ -315,7 +347,8 @@ def require_continuous(m: ContinuousMap) -> ContinuousMap:
 def subspace(space: FiniteSpace, u: Iterable[str]) -> FiniteSpace:
     """The subspace on an *open* subset: its opens are the opens inside it."""
     su = space.require_open(u)
-    return FiniteSpace(su, [v for v in space.opens if v <= su])
+    return FiniteSpace._closed(su, space.opens_within(su),
+                               {x: space._minimal[x] for x in su})
 
 
 def open_inclusion(space: FiniteSpace, u: Iterable[str]) -> ContinuousMap:

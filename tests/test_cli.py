@@ -8,6 +8,7 @@ import pytest
 from finsheaf.cli import main
 from finsheaf.serialize import gluing_to_payload
 from test_gluing import three_part_swap_datum
+from test_topology import closed_family
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -190,6 +191,28 @@ class TestOtherVerbs:
 ADJUNCTION = ["adjunction-test", "--map", fixture("disc2_to_pt.map.json"),
               "--presheaf", fixture("pt_two.presheaf.json"),
               "--sheaf", fixture("disc2_locally_constant.presheaf.json")]
+
+
+class TestSpaceByGenerators:
+    def test_subbasis_loads_as_the_generated_space(self, tmp_path, capsys):
+        """{a,b} and {a,c} are no basis of the space they generate, whose
+        opens add {a}: the file loads, keyed by the closure's opens."""
+        points, generators = ["a", "b", "c"], [["a", "b"], ["a", "c"]]
+        opens = sorted(closed_family(points, generators), key=sorted)
+        doc = {
+            "schema": "finsheaf.presheaf/1", "category": "FinSet",
+            "space": {"schema": "finsheaf.space/1", "points": points, "basis": generators},
+            "sections": {",".join(sorted(u)): ["*"] for u in opens},
+            "restrictions": {",".join(sorted(v)): {",".join(sorted(u)): {"*": "*"}
+                                                   for u in opens if u < v}
+                             for v in opens},
+        }
+        path = tmp_path / "subbasis.presheaf.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert len(opens) == 5
+        code, report = run_cli_json(["validate", "--presheaf", str(path)], capsys)
+        assert code == 0
+        assert report["payload"] == {"functorial": True}
 
 
 class TestCommandLineErrors:
@@ -515,8 +538,13 @@ class TestDeterminism:
         del psi["assignment"]["x"], psi["assignment"]["y"]
         basis = load("pc4_locally_constant.presheaf.json")
         basis["basis"] = [["a"], ["b"], ["x"], ["y"]]
+        # closed under union, not under intersection: {a,b} ∩ {b,c} is missing
+        meets = load("sierp_sheaf.presheaf.json")
+        meets["space"] = {"points": ["a", "b", "c"],
+                          "opens": [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]]}
         invocations = [
             ["validate", "--presheaf", write("union.presheaf.json", not_closed)],
+            ["validate", "--presheaf", write("meets.presheaf.json", meets)],
             ["glue", "--gluing", write("holes.gluing.json", gluing)],
             ["pushforward", "--map", write("holes.map.json", psi),
              "--presheaf", fixture("pc4_locally_constant.presheaf.json")],

@@ -1,10 +1,13 @@
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from finsheaf import fixtures as fx
+from finsheaf.canon import open_key, sort_opens
 from finsheaf.errors import GeneratorsDoNotCover, MalformedSpace, NotAnOpen, UnknownPoint
+from finsheaf.oracles import enumerate_topologies
 from finsheaf.topology import (
     Basis,
     ContinuousMap,
@@ -20,6 +23,7 @@ from finsheaf.topology import (
     minimal_open,
     open_inclusion,
     space_from_basis,
+    space_from_generators,
     subspace,
 )
 
@@ -40,24 +44,30 @@ def union_of_intersections_oracle(points, generators):
     return opens
 
 
-def closure_reference(points, generators):
-    """``space_from_basis`` by closing the generators, the empty set and the
-    full set under pairwise union and intersection until nothing is new."""
-    pts = frozenset(points)
-    gens = frozenset(frozenset(g) for g in generators)
-    opens = set(gens) | {frozenset(), pts}
+def closed_family(points, generators):
+    """The generators, the empty set and the full set, closed under pairwise
+    union and intersection until nothing is new."""
+    opens = {frozenset(g) for g in generators} | {frozenset(), frozenset(points)}
     while True:
         new = {c for a in opens for b in opens for c in (a | b, a & b)} - opens
         if not new:
-            break
+            return opens
         opens |= new
-    space = FiniteSpace(pts, opens)
-    return space, Basis(space, gens)
+
+
+def closure_reference(points, generators):
+    """``space_from_basis`` by ``closed_family``."""
+    space = FiniteSpace(points, closed_family(points, generators))
+    return space, Basis(space, frozenset(frozenset(g) for g in generators))
+
+
+def subsets_of(points):
+    return [frozenset(c) for r in range(len(points) + 1) for c in combinations(points, r)]
 
 
 def covering_families(points):
     """Every family of subsets of ``points`` whose union is all of them."""
-    candidates = [frozenset(c) for r in range(len(points) + 1) for c in combinations(points, r)]
+    candidates = subsets_of(points)
     return [family for r in range(len(candidates) + 1)
             for family in combinations(candidates, r)
             if frozenset().union(*family) == frozenset(points)]
@@ -95,6 +105,21 @@ class TestSpaceFromBasis:
         assert (outcome(space_from_basis, points, family)
                 == outcome(closure_reference, points, family))
 
+    def test_generated_space_matches_closure_on_every_covering_family(self):
+        """Generators that are only a subbasis, such as {a,b} and {a,c},
+        still generate a space; ``space_from_basis`` raises on them only
+        because they make no ``Basis``."""
+        subbases = 0
+        for points in ([], ["a"], ["a", "b"], ["a", "b", "c"]):
+            for family in covering_families(points):
+                space = space_from_generators(points, family)
+                assert space.opens == closed_family(points, family)
+                try:
+                    space_from_basis(points, family)
+                except MalformedSpace:
+                    subbases += 1
+        assert subbases == 76
+
     def test_error_messages(self):
         with pytest.raises(UnknownPoint, match=r"^generator '0,y' contains unknown points$"):
             space_from_basis(["0"], [["0", "z"], ["0", "y"]])
@@ -124,6 +149,134 @@ class TestSpaceFromBasis:
     def test_unknown_generator_point(self):
         with pytest.raises(UnknownPoint):
             space_from_basis(["0"], [["0", "z"]])
+
+
+def pairwise_reference(points, opens):
+    """The constructor's former check, kept as the oracle for the check by
+    minimal opens: labels, then opens inside the space, the empty and full
+    sets, then every pair of opens for ∪ and ∩, in sorted order."""
+    def label(x):
+        if not isinstance(x, str) or x == "" or "," in x:
+            raise MalformedSpace(f"point labels must be nonempty strings without commas: {x!r}")
+        return x
+
+    pts = frozenset(label(p) for p in points)
+    family = frozenset(frozenset(label(x) for x in u) for u in opens)
+    ordered = sort_opens(family)
+    for u in ordered:
+        if not u <= pts:
+            raise UnknownPoint(f"open {open_key(u)!r} contains points outside the space")
+    if frozenset() not in family:
+        raise MalformedSpace("topology must contain the empty set")
+    if pts not in family:
+        raise MalformedSpace("topology must contain the full point set")
+    for a in ordered:
+        for b in ordered:
+            if a | b not in family:
+                raise MalformedSpace(
+                    f"opens not closed under union: {open_key(a)!r} ∪ {open_key(b)!r}")
+            if a & b not in family:
+                raise MalformedSpace(
+                    f"opens not closed under intersection: {open_key(a)!r} ∩ {open_key(b)!r}")
+
+
+def verdict(build, points, opens):
+    try:
+        build(points, opens)
+    except (MalformedSpace, UnknownPoint) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def assert_same_verdict(points, opens):
+    expected = verdict(pairwise_reference, points, opens)
+    assert verdict(FiniteSpace, points, opens) == expected, (points, opens)
+    if expected is None:
+        space = FiniteSpace(points, opens)
+        for x in space.points:
+            assert minimal_open(space, x) == frozenset.intersection(
+                *[u for u in space.opens if x in u])
+
+
+def mutants(space):
+    """The space's opens with one proper open dropped, or one subset added."""
+    for u in space.sorted_opens():
+        if u and u != space.points:
+            yield space.opens - {u}
+    for u in subsets_of(sorted(space.points)):
+        if u not in space.opens:
+            yield space.opens | {u}
+
+
+@cache
+def topologies(n):
+    return enumerate_topologies(["a", "b", "c", "d", "e"][:n])
+
+
+class TestCheckByMinimalOpens:
+    """``FiniteSpace`` gives the pairwise check's verdict, exception type and
+    message."""
+
+    def test_every_family_up_to_three_points(self):
+        for points in ([], ["a"], ["a", "b"], ["a", "b", "c"]):
+            candidates = subsets_of(points)
+            for r in range(len(candidates) + 1):
+                for family in combinations(candidates, r):
+                    assert_same_verdict(points, family)
+                    # one unknown point, in one open or in every open above it
+                    for u in family:
+                        assert_same_verdict(points, [v | {"z"} if v == u else v for v in family])
+                        assert_same_verdict(points, [v | {"z"} if u <= v else v for v in family])
+
+    def test_single_open_mutants_of_every_four_point_topology(self):
+        spaces = topologies(4)
+        assert len(spaces) == 355
+        for space in spaces:
+            for family in mutants(space):
+                assert_same_verdict(sorted(space.points), family)
+
+    @given(st.data())
+    def test_single_open_mutants_on_five_points(self, data):
+        space = data.draw(st.sampled_from(topologies(5)))
+        family = data.draw(st.sampled_from(list(mutants(space))))
+        assert_same_verdict(sorted(space.points), family)
+
+
+def space_data(space):
+    """Everything a space exposes, queried in this order."""
+    return (space.points, space.opens, space.sorted_opens(),
+            {x: minimal_open(space, x) for x in space.points},
+            space.inclusion_pairs(),
+            {u: space.minimal_covering(u) for u in space.opens},
+            {x: closure(space, {x}) for x in space.points})
+
+
+def assert_same_as_checked(space):
+    assert space_data(space) == space_data(FiniteSpace(space.points, space.opens))
+
+
+class TestClosedByConstruction:
+    """Spaces that skip the check equal the checked constructor's."""
+
+    def test_enumerated_topologies(self):
+        for n in range(6):
+            for space in topologies(n):
+                assert_same_as_checked(space)
+
+    def test_generated_spaces(self):
+        for points in ([], ["a"], ["a", "b"], ["a", "b", "c"]):
+            for family in covering_families(points):
+                assert_same_as_checked(space_from_generators(points, family))
+
+    def test_open_subspaces(self):
+        for n in range(5):
+            for space in topologies(n):
+                for u in space.opens:
+                    assert_same_as_checked(subspace(space, u))
+
+    def test_enumeration_checks_labels(self):
+        with pytest.raises(MalformedSpace, match="^point labels must be nonempty strings"):
+            enumerate_topologies(["a", "b,c"])
 
 
 class TestTopologyLaws:
@@ -185,6 +338,14 @@ class TestClosure:
         if a <= b:
             assert ca <= closure(space, b)
 
+    def test_matches_intersection_of_closed_sets_up_to_four_points(self):
+        for n in range(5):
+            for space in topologies(n):
+                closed = [space.points - u for u in space.opens]
+                for s in subsets_of(sorted(space.points)):
+                    assert closure(space, s) == frozenset.intersection(
+                        *[c for c in closed if s <= c])
+
     def test_closed_complement_is_open(self, pc4):
         for sub in [frozenset({"x"}), frozenset({"a", "y"})]:
             assert pc4.points - closure(pc4, sub) in pc4.opens
@@ -198,6 +359,16 @@ class TestIrreducible:
 
     def test_empty_space(self):
         assert is_irreducible(FiniteSpace([], [[]])) is False
+
+    def test_matches_pairs_of_opens_up_to_four_points(self):
+        """On every topology and every open subspace of one."""
+        for n in range(5):
+            for space in topologies(n):
+                for u in space.opens:
+                    sub = subspace(space, u)
+                    nonempty = [v for v in sub.opens if v]
+                    assert is_irreducible(sub) is (
+                        bool(sub.points) and all(a & b for a in nonempty for b in nonempty))
 
 
 class TestContinuity:

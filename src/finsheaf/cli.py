@@ -14,7 +14,7 @@ import functools
 import sys
 import time
 
-from .canon import canonical_json, open_key, write_canonical
+from .canon import materialize, open_key, write_canonical
 from .errors import CocycleViolation, FinsheafError, ParseError
 from . import serialize as ser
 from .gluing import check_glued_invariant, glue
@@ -159,10 +159,10 @@ def cmd_adjunction_test(args) -> tuple[dict, bool]:
     payload = {
         "hom_upstairs": witness.hom_upstairs,
         "hom_downstairs": witness.hom_downstairs,
-        "transpositions": [
+        "transpositions": (
             {"nu": ser.morphism_tables(nu), "flat": ser.morphism_tables(image)}
             for nu, image in witness.transpositions
-        ],
+        ),
     }
     return payload, witness.verdict
 
@@ -204,7 +204,7 @@ def _render_text(report: dict, elapsed: float) -> str:
     if "verdict" in report:
         lines.append(f"verdict: {'pass' if report['verdict'] else 'FAIL'}")
     for key, value in sorted(report.get("payload", {}).items()):
-        lines.append(f"{key}: {value}")
+        lines.append(f"{key}: {materialize(value)}")
     lines.append(f"elapsed: {elapsed:.3f}s")
     return "\n".join(lines) + "\n"
 
@@ -275,11 +275,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         payload, verdict = args.fn(args)
     except FinsheafError as exc:
-        sys.stderr.write(canonical_json({
+        write_canonical(sys.stderr, {
             "schema": ser.REPORT_SCHEMA,
             "error": type(exc).__name__,
             "message": str(exc),
-        }))
+        })
         return EXIT_BAD_INPUT
     elapsed = time.monotonic() - started
     report = {

@@ -13,7 +13,7 @@ import json
 import os
 from typing import Any, Callable, TypeVar
 
-from .canon import open_key, write_canonical
+from .canon import Rows, materialize, open_key, write_canonical
 from .errors import CrossReferenceError, ParseError
 from .gluing import GluingDatum
 from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism, SheafDiagram
@@ -87,30 +87,42 @@ def value_from_payload(payload, category: str) -> ValueObject:
 # -- presheaves ---------------------------------------------------------------
 
 def presheaf_to_payload(p: Presheaf | BasisPresheaf) -> dict:
+    """The presheaf's file payload.  Its ``sections`` and ``restrictions``
+    are ``Rows``, one open per row: a row is built when it is written and
+    shares the presheaf's tables, so ``dump_json`` never holds the file."""
     if isinstance(p, BasisPresheaf):
-        space, opens = p.basis.space, p.basis.sorted_members()
-        payload_extra = {"basis": sorted([sorted(b) for b in opens])}
+        space, opens, pairs = p.basis.space, p.basis.sorted_members(), p.basis_pairs()
     else:
-        space, opens = p.space, p.space.sorted_opens()
-        payload_extra = {}
-    restrictions: dict[str, dict[str, dict[str, str]]] = {}
-    for u in opens:
-        for v in opens:
-            if u < v:
-                restrictions.setdefault(open_key(v), {})[open_key(u)] = dict(p.res[(u, v)].map)
-    # non-identity self-restrictions are kept so corrupted data round-trips
-    for u in opens:
-        r = p.res[(u, u)].map
-        if any(r[a] != a for a in r):
-            restrictions.setdefault(open_key(u), {})[open_key(u)] = dict(r)
+        space, opens, pairs = p.space, p.space.sorted_opens(), p.inclusion_pairs()
+    keyed = sorted((open_key(u), u) for u in opens)
+    below: dict[PointSet, list[PointSet]] = {u: [] for u in opens}
+    for u, v in pairs:
+        if u != v:
+            below[v].append(u)
+
+    def sections():
+        for key, u in keyed:
+            yield key, value_to_payload(p.sections[u])
+
+    def restrictions():
+        for key, v in keyed:
+            row = {open_key(u): p.res[(u, v)].map for u in below[v]}
+            # non-identity self-restrictions are kept so corrupted data round-trips
+            r = p.res[(v, v)].map
+            if any(r[a] != a for a in r):
+                row[key] = r
+            if row:
+                yield key, row
+
     payload = {
         "schema": PRESHEAF_SCHEMA,
         "category": p.category,
         "space": space_to_payload(space),
-        "sections": {open_key(u): value_to_payload(p.sections[u]) for u in opens},
-        "restrictions": restrictions,
+        "sections": Rows(sections),
+        "restrictions": Rows(restrictions),
     }
-    payload.update(payload_extra)
+    if isinstance(p, BasisPresheaf):
+        payload["basis"] = sorted([sorted(b) for b in opens])
     return payload
 
 
@@ -139,9 +151,9 @@ def presheaf_from_payload(payload: dict, base_dir: str = ".") -> Presheaf | Basi
         raise ParseError(f"bad presheaf payload: {exc}") from exc
     if category not in (FINSET, FINAB):
         raise ParseError(f"unknown category {category!r}")
-    if not isinstance(raw_sections, dict):
+    if not isinstance(raw_sections, (dict, Rows)):
         raise ParseError("sections must be a table keyed by open")
-    if not (isinstance(raw_restrictions, dict)
+    if not (isinstance(raw_restrictions, (dict, Rows))
             and all(isinstance(row, dict) for row in raw_restrictions.values())):
         raise ParseError("restrictions must be a table of tables keyed by open")
 
@@ -247,7 +259,7 @@ def _morphism_from_tables(source: Presheaf, target: Presheaf, tables: dict,
 def gluing_to_payload(d: GluingDatum) -> dict:
     parts = {}
     for lam in d.indices():
-        doc = presheaf_to_payload(d.parts[lam])
+        doc = materialize(presheaf_to_payload(d.parts[lam]))
         doc.pop("space")
         doc.pop("schema")
         parts[lam] = doc
@@ -306,7 +318,8 @@ def diagram_to_payload(d: SheafDiagram) -> dict:
             "elements": list(d.index.elements),
             "le": sorted([a, b] for (a, b) in d.index.le if a != b),
         },
-        "sheaves": {i: presheaf_to_payload(d.sheaves[i]) for i in d.index.elements},
+        "sheaves": {i: materialize(presheaf_to_payload(d.sheaves[i]))
+                    for i in d.index.elements},
         "arrows": arrows,
     }
 
@@ -353,5 +366,9 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(path: str, payload: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_canonical(fh, payload)
+    """Write ``payload`` to ``path`` as canonical JSON, streaming its lazy parts."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write_canonical(fh, payload)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path!r}: {exc}") from exc

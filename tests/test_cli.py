@@ -193,6 +193,27 @@ ADJUNCTION = ["adjunction-test", "--map", fixture("disc2_to_pt.map.json"),
               "--sheaf", fixture("disc2_locally_constant.presheaf.json")]
 
 
+class TestUnwritableOut:
+    """``--out`` onto a path that cannot be written exits 2 with a JSON
+    ``ParseError`` naming the path, and prints no report."""
+
+    @pytest.mark.parametrize("where", ["missing directory", "a directory",
+                                       "under a regular file"])
+    def test_exit_2_with_the_path_named(self, where, tmp_path, capsys):
+        (tmp_path / "plain.txt").write_text("not a directory", encoding="utf-8")
+        out = str({"missing directory": tmp_path / "nowhere" / "out.json",
+                   "a directory": tmp_path,
+                   "under a regular file": tmp_path / "plain.txt" / "out.json"}[where])
+        code = main(["sheafify", "--presheaf", fixture("disc2_constant2.presheaf.json"),
+                     "--out", out])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"cannot write {out!r}: ")
+
+
 class TestSpaceByGenerators:
     def test_subbasis_loads_as_the_generated_space(self, tmp_path, capsys):
         """{a,b} and {a,c} are no basis of the space they generate, whose

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from finsheaf import fixtures as fx
 from finsheaf import serialize as ser
-from finsheaf.canon import BLOCK_CHARS, canonical_json, write_canonical
+from finsheaf.canon import BLOCK_CHARS, Rows, canonical_json, materialize, write_canonical
 from finsheaf.errors import CrossReferenceError, ParseError
 from finsheaf.presheaf import BasisPresheaf, presheaves_equal
 from finsheaf.values import cyclic_group, finset
@@ -152,6 +152,28 @@ payloads = st.recursive(
     max_leaves=40)
 
 
+@st.composite
+def lazy_payloads(draw):
+    """(payload, build): ``build()`` returns ``payload`` with some dicts made
+    ``Rows`` and some lists made generators, the same ones on every call."""
+    payload = draw(payloads)
+    flags = draw(st.lists(st.booleans(), min_size=1, max_size=32))
+
+    def build():
+        turn = iter(range(10 ** 6))
+
+        def lazy(value):
+            if isinstance(value, dict):
+                rows = [(k, lazy(value[k])) for k in sorted(value)]
+                return Rows(lambda: iter(rows)) if flags[next(turn) % len(flags)] else dict(rows)
+            if isinstance(value, list):
+                items = [lazy(v) for v in value]
+                return (v for v in items) if flags[next(turn) % len(flags)] else items
+            return value
+        return lazy(payload)
+    return payload, build
+
+
 class RecordingStream(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -190,6 +212,52 @@ class TestBlockWriter:
         assert out.getvalue() == text
         assert all(size >= BLOCK_CHARS for size in out.sizes[:-1])
         assert len(out.sizes) <= len(text) // BLOCK_CHARS + 1
+
+    @given(lazy_payloads())
+    @settings(max_examples=150, deadline=None)
+    def test_lazy_rows_and_items(self, case):
+        payload, build = case
+        out = io.StringIO()
+        write_canonical(out, build())
+        assert materialize(build()) == payload
+        assert out.getvalue() == canonical_json(materialize(build())) == canonical_json(payload)
+
+    def test_lazy_edge_cases(self):
+        def build():
+            return {
+                "": Rows(lambda: iter([])),
+                "a|b=c\\": (v for v in []),
+                "é€": Rows(lambda: iter([
+                    ("0", (v for v in [1, -7, True, False, None, "𝔽\n", [], {}])),
+                    ("1|=", {"\\": ["a", 2]}),
+                ])),
+            }
+        out = io.StringIO()
+        write_canonical(out, build())
+        assert out.getvalue() == canonical_json(materialize(build()))
+        assert '"": {}' in out.getvalue() and '"a|b=c\\\\": []' in out.getvalue()
+
+    def test_rows_out_of_key_order_are_refused(self):
+        with pytest.raises(ValueError, match="rows out of key order"):
+            write_canonical(io.StringIO(), Rows(lambda: iter([("b", 1), ("a", 2)])))
+
+    def test_lazy_payload_writes_blocks_not_chunks(self):
+        def small():
+            for i in range(20000):
+                yield f"open{i:05d}", {"a|b=c": (v for v in ["é", i, None])}
+
+        def tables():
+            for i in range(300):
+                yield f"t{i:03d}", {f"s{j}": f"s{(i * j) % 97}" for j in range(400)}
+
+        for build in (lambda: {"rows": Rows(small)}, lambda: {"tables": Rows(tables)}):
+            out = RecordingStream()
+            write_canonical(out, build())
+            text = canonical_json(build())
+            assert out.getvalue() == text
+            assert all(size >= BLOCK_CHARS for size in out.sizes[:-1])
+            assert len(out.sizes) <= len(text) // BLOCK_CHARS + 1
+            assert len(out.sizes) > 1 and max(out.sizes) < 2 * BLOCK_CHARS
 
     def test_dump_json_writes_canonical_bytes_at_its_first_argument(self, tmp_path):
         assert next(iter(inspect.signature(ser.dump_json).parameters)) == "path"

@@ -12,6 +12,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from finsheaf import fixtures as fx
 from finsheaf import serialize as ser
+from finsheaf.canon import materialize
 from finsheaf.gluing import GluingDatum
 from finsheaf.presheaf import (
     BasisPresheaf,
@@ -118,7 +119,7 @@ def main() -> None:
     write("sierp_pair.diagram.json", ser.diagram_to_payload(diagram))
 
     # deliberately malformed: missing a restriction table
-    broken = ser.presheaf_to_payload(fx.sierp_two_section_sheaf())
+    broken = materialize(ser.presheaf_to_payload(fx.sierp_two_section_sheaf()))
     del broken["restrictions"]["0,1"]
     write("malformed.presheaf.json", broken)
 

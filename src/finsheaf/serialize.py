@@ -5,12 +5,17 @@ arrays sorted, a trailing newline, no timing or other run-dependent data.
 Open sets are keyed by their canonical sorted-label string ("a,b"; the
 empty string for the empty set).  FinAb tables are stored as arrays of
 triples [x, y, x+y].
+
+A file is checked once, as it loads: each distinct FinAb object and each
+distinct table between FinAb objects in it is built and checked once, and
+every later occurrence shares that one.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from typing import Any, Callable, TypeVar
 
 from .canon import Rows, materialize, open_key, write_canonical
@@ -18,7 +23,15 @@ from .errors import CrossReferenceError, ParseError
 from .gluing import GluingDatum
 from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism, SheafDiagram
 from .topology import Basis, ContinuousMap, FiniteSpace, PointSet, space_from_generators, subspace
-from .values import FINAB, FINSET, Poset, ValueMorphism, ValueObject, group_from_triples
+from .values import (
+    FINAB,
+    FINSET,
+    Poset,
+    ValueMorphism,
+    ValueObject,
+    group_from_triples,
+    identity,
+)
 
 SPACE_SCHEMA = "finsheaf.space/1"
 PRESHEAF_SCHEMA = "finsheaf.presheaf/1"
@@ -73,15 +86,67 @@ def _table(value, what: str) -> dict:
     return value
 
 
+def _triples(add) -> list:
+    if not isinstance(add, list):
+        raise ParseError(f"add table must be an array of triples, got {add!r}")
+    for t in add:
+        if not (type(t) is list and len(t) == 3 and type(t[0]) is type(t[1]) is type(t[2]) is str):
+            raise ParseError(f"add table entry must be an array of three strings, got {t!r}")
+    return add
+
+
 def value_from_payload(payload, category: str) -> ValueObject:
     try:
         if category == FINSET:
             return ValueObject(FINSET, tuple(_labels(payload)))
         # the zero must be one of the elements, so it is a string too
-        return group_from_triples(_labels(payload["elements"]), payload["add"],
-                                  payload["zero"])
+        elements, add, zero = _labels(payload["elements"]), payload["add"], payload["zero"]
+        return group_from_triples(elements, _triples(add), zero)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad value object: {exc}") from exc
+
+
+def _value_key(payload):
+    """A key that two FinAb payloads share only if they load to equal
+    objects, or None for a payload of another shape, which the loader
+    rejects.  An unhashable label makes the key unhashable."""
+    add = payload.get("add") if type(payload) is dict else None
+    if not (type(add) is list and type(payload.get("elements")) is list
+            and all(type(t) is list and len(t) == 3 for t in add)):
+        return None
+    return tuple(payload["elements"]), payload.get("zero"), tuple(chain.from_iterable(add))
+
+
+class _Loaded:
+    """The FinAb objects and tables of one file, each built and checked once.
+    FinSet checks cost no more than the lookup, so those are built anew."""
+
+    def __init__(self):
+        self.built: dict = {}
+
+    def value(self, payload, category: str) -> ValueObject:
+        if category != FINAB:
+            return value_from_payload(payload, category)
+        return self._once(_value_key(payload),
+                          lambda: value_from_payload(payload, category))
+
+    def morphism(self, source: ValueObject, target: ValueObject, table: dict) -> ValueMorphism:
+        """The map with this table between objects of this file."""
+        if source.category != FINAB:
+            return ValueMorphism(source, target, dict(table))
+        return self._once((id(source), id(target), tuple(table), tuple(table.values())),
+                          lambda: ValueMorphism(source, target, dict(table)))
+
+    def _once(self, key, build):
+        try:
+            found = self.built.get(key) if key is not None else None
+        except TypeError:  # an unhashable label: malformed, and ``build`` says how
+            return build()
+        if found is None:
+            found = build()
+            if key is not None:
+                self.built[key] = found
+        return found
 
 
 # -- presheaves ---------------------------------------------------------------
@@ -140,7 +205,11 @@ def _resolve_space(payload, base_dir: str) -> FiniteSpace:
     raise ParseError("space must be inline or a file reference")
 
 
-def presheaf_from_payload(payload: dict, base_dir: str = ".") -> Presheaf | BasisPresheaf:
+def presheaf_from_payload(payload: dict, base_dir: str = ".", *,
+                          loaded: _Loaded | None = None) -> Presheaf | BasisPresheaf:
+    """The presheaf of a file payload; ``loaded`` holds what the same file
+    has loaded already, for the parts of a gluing or diagram file."""
+    loaded = loaded or _Loaded()
     try:
         category = payload["category"]
         space = _resolve_space(payload["space"], base_dir)
@@ -170,32 +239,32 @@ def presheaf_from_payload(payload: dict, base_dir: str = ".") -> Presheaf | Basi
         opens = space.sorted_opens()
         what = "open"
 
+    keys = {u: open_key(u) for u in opens}
     sections: dict[PointSet, ValueObject] = {}
     for u in opens:
-        key = open_key(u)
-        if key not in raw_sections:
-            raise CrossReferenceError(f"no sections for open {key!r}")
-        sections[u] = value_from_payload(raw_sections[key], category)
+        if keys[u] not in raw_sections:
+            raise CrossReferenceError(f"no sections for open {keys[u]!r}")
+        sections[u] = loaded.value(raw_sections[keys[u]], category)
 
     res: dict[tuple[PointSet, PointSet], ValueMorphism] = {}
     for u in opens:
         for v in opens:
             if not u <= v:
                 continue
-            table = raw_restrictions.get(open_key(v), {}).get(open_key(u))
+            table = raw_restrictions.get(keys[v], {}).get(keys[u])
+            restriction = f"restriction {keys[v]!r} -> {keys[u]!r}"
             if table is None:
-                if u == v:
-                    table = {a: a for a in sections[u].elements}
-                else:
-                    raise CrossReferenceError(
-                        f"no restriction {open_key(v)!r} -> {open_key(u)!r}")
+                if u != v:
+                    raise CrossReferenceError(f"no {restriction}")
+                res[(u, v)] = identity(sections[u])
+                continue
             try:
-                res[(u, v)] = ValueMorphism(sections[v], sections[u], dict(table))
+                res[(u, v)] = loaded.morphism(sections[v], sections[u],
+                                              _table(table, restriction))
             except (ValueError, KeyError, TypeError) as exc:
-                raise ParseError(
-                    f"bad restriction {open_key(v)!r} -> {open_key(u)!r}: {exc}") from exc
+                raise ParseError(f"bad {restriction}: {exc}") from exc
     # a key that names nothing would be dropped silently
-    known = {open_key(u): u for u in opens}
+    known = {key: u for u, key in keys.items()}
     for key in raw_sections:
         if key not in known:
             raise ParseError(f"sections key {key!r} names no {what}")
@@ -226,7 +295,7 @@ def map_from_payload(payload: dict, base_dir: str = ".") -> ContinuousMap:
     try:
         source = _resolve_space(payload["source"], base_dir)
         target = _resolve_space(payload["target"], base_dir)
-        return ContinuousMap(source, target, dict(payload["assignment"]))
+        return ContinuousMap(source, target, dict(_table(payload["assignment"], "assignment")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad map payload: {exc}") from exc
 
@@ -241,7 +310,7 @@ def morphism_tables(m: PresheafMorphism) -> dict[str, dict[str, str]]:
 
 
 def _morphism_from_tables(source: Presheaf, target: Presheaf, tables: dict,
-                          kind: str, pair: str) -> PresheafMorphism:
+                          kind: str, pair: str, loaded: _Loaded) -> PresheafMorphism:
     """The morphism with one table per open of the source; errors name it as
     the ``kind`` of morphism at ``pair``."""
     comps = {}
@@ -249,8 +318,8 @@ def _morphism_from_tables(source: Presheaf, target: Presheaf, tables: dict,
         table = tables.get(open_key(u))
         if table is None:
             raise CrossReferenceError(f"{kind} {pair} misses open {open_key(u)!r}")
-        comps[u] = ValueMorphism(source.sections[u], target.sections[u],
-                                 dict(_table(table, f"{kind} table")))
+        comps[u] = loaded.morphism(source.sections[u], target.sections[u],
+                                   _table(table, f"{kind} table"))
     return PresheafMorphism(source, target, comps)
 
 
@@ -280,6 +349,7 @@ def gluing_to_payload(d: GluingDatum) -> dict:
 def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
     from .presheaf import restrict_to_open
 
+    loaded = _Loaded()
     try:
         space = _resolve_space(payload["space"], base_dir)
         covering = {lam: frozenset(pts)
@@ -289,7 +359,7 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
             local = dict(_table(doc, f"part {lam!r}"))
             local["schema"] = PRESHEAF_SCHEMA
             local["space"] = space_to_payload(subspace(space, covering[lam]))
-            part = presheaf_from_payload(local, base_dir)
+            part = presheaf_from_payload(local, base_dir, loaded=loaded)
             if isinstance(part, BasisPresheaf):
                 raise ParseError("gluing parts must be full presheaves")
             parts[lam] = part
@@ -300,7 +370,7 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
                 overlap = covering[lam] & covering[mu]
                 cocycle[(lam, mu)] = _morphism_from_tables(
                     restrict_to_open(parts[mu], overlap), restrict_to_open(parts[lam], overlap),
-                    tables, "cocycle", f"({lam!r},{mu!r})")
+                    tables, "cocycle", f"({lam!r},{mu!r})", loaded)
         return GluingDatum(space, covering, parts, cocycle)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad gluing payload: {exc}") from exc
@@ -325,13 +395,14 @@ def diagram_to_payload(d: SheafDiagram) -> dict:
 
 
 def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
+    loaded = _Loaded()
     try:
         index = _table(payload["index"], "index")
         poset = Poset.from_pairs(
             index["elements"], [tuple(p) for p in index.get("le", [])])
         sheaves = {}
         for i in poset.elements:
-            p = presheaf_from_payload(payload["sheaves"][i], base_dir)
+            p = presheaf_from_payload(payload["sheaves"][i], base_dir, loaded=loaded)
             if isinstance(p, BasisPresheaf):
                 raise ParseError("diagram nodes must be full presheaves")
             sheaves[i] = p
@@ -343,7 +414,7 @@ def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
                 raise CrossReferenceError(f"diagram misses arrow ({i!r}, {j!r})")
             arrows[(i, j)] = _morphism_from_tables(
                 sheaves[j], sheaves[i], _table(tables, f"arrow ({i!r}, {j!r})"),
-                "arrow", f"({i!r},{j!r})")
+                "arrow", f"({i!r},{j!r})", loaded)
         return SheafDiagram(poset, sheaves, arrows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad diagram payload: {exc}") from exc

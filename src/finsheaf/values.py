@@ -1,8 +1,13 @@
 """The two concrete value categories: finite sets and finite abelian groups.
 
 FinAb objects carry explicit addition tables rather than invariant-factor
-decompositions: the axioms are checked by full table scan, which is cheap
-at the scale everything here runs at.  Every canonical construction
+decompositions.  The laws are checked where a table enters: totality,
+commutativity, the identity and inverses by scanning the table, and
+associativity and the homomorphism law on a greedy generating set, in
+O(|A|²·rank) and O(|A|·rank); where a check fails, the full scan names
+the first witness.  Results built here from checked objects and maps
+(limits, colimits, composites, tuplings, inverses) are laws by
+construction and are not checked again.  Every canonical construction
 (limit tuples, colimit classes) produces deterministic composite labels.
 A limit's elements are labeled families {index: element}.  ``family_label``
 and ``tupling`` are the only builders of family labels; a map into a
@@ -84,9 +89,45 @@ class ValueObject:
         for a in elems:
             if self.add[(a, self.neg[a])] != self.zero:
                 raise MalformedValue(f"neg table wrong at {a!r}")
+        if _light_test(self.add, elems, self.generators):
+            return
         for a, b, c in product(elems, repeat=3):
             if self.add[(self.add[(a, b)], c)] != self.add[(a, self.add[(b, c)])]:
                 raise MalformedValue(f"not associative at ({a!r}, {b!r}, {c!r})")
+
+    @classmethod
+    def _closed(cls, category: str, elements: tuple[str, ...], add: dict | None = None,
+                zero: str | None = None, neg: dict | None = None) -> ValueObject:
+        """The object with these sorted elements and tables, built from checked
+        objects by a construction that keeps the laws: nothing is re-checked."""
+        obj = cls.__new__(cls)
+        obj.category, obj.elements, obj.add, obj.zero, obj.neg = category, elements, add, zero, neg
+        return obj
+
+    @property
+    def generators(self) -> tuple[str, ...]:
+        """Group elements, taken in order, each one that the sums
+        ((0 + g₁) + g₂) + … of those before it do not reach, until they reach
+        every element.  In a group each one at least doubles the subgroup
+        reached, so there are at most log₂|A| of them.  Found once."""
+        if (found := self.__dict__.get("_generators")) is not None:
+            return found
+        add, gens, reached = self.add, [], {self.zero}
+        for g in self.elements:
+            if len(reached) == len(self.elements):
+                break
+            if g in reached:
+                continue
+            gens.append(g)
+            frontier = list(reached)
+            while frontier:
+                x = frontier.pop()
+                for h in gens:
+                    if (y := add[(x, h)]) not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+        self._generators = tuple(gens)
+        return self._generators
 
     def __contains__(self, label: str) -> bool:
         return label in self.elements
@@ -142,11 +183,35 @@ def group_from_triples(elements: Iterable[str], triples: Iterable[Sequence[str]]
     return ValueObject(FINAB, tuple(elements), add=add, zero=zero)
 
 
+def _light_test(add: Mapping[tuple[str, str], str], elements: Sequence[str],
+                generators: Sequence[str]) -> bool:
+    """Whether (a + g) + b = a + (g + b) for all a, b and every g of
+    ``generators``, for a commutative table with an identity whose elements
+    are all sums ((0 + g₁) + g₂) + … of them.  The g for which it holds form
+    a submagma (Light's test), so it holds exactly when ``add`` is associative."""
+    if not generators:
+        return True
+    rows = {a: {b: add[(a, b)] for b in elements} for a in elements}
+    row_lists = {a: list(row.values()) for a, row in rows.items()}
+    return all(row_lists[row[g]] == [row[x] for x in row_lists[g]]
+               for g in generators for row in rows.values())
+
+
 def first_bad_sum(source: ValueObject, target: ValueObject,
                   table: Mapping[str, str]) -> tuple[str, str] | None:
-    """The first (a, b) with f(a + b) ≠ f(a) + f(b), for a table f between groups."""
-    add_s, add_t = source.add, target.add
-    for a, b in product(source.elements, repeat=2):
+    """The first (a, b) with f(a + b) ≠ f(a) + f(b), for a table f between groups.
+
+    f is additive exactly when f(0) = 0 and f(a + g) = f(a) + f(g) for every
+    a and every g in ``source.generators``, by induction along the sums that
+    reach each element: O(|A|·rank).  Only when that fails does the scan over
+    all pairs run, to name the first one in order.
+    """
+    add_s, add_t, elems = source.add, target.add, source.elements
+    if table[source.zero] == target.zero and all(
+            [table[add_s[(a, g)]] for a in elems] == [add_t[(table[a], table[g])] for a in elems]
+            for g in source.generators):
+        return None
+    for a, b in product(elems, repeat=2):
         if table[add_s[(a, b)]] != add_t[(table[a], table[b])]:
             return a, b
     return None
@@ -176,6 +241,15 @@ class ValueMorphism:
             if (bad := first_bad_sum(self.source, self.target, self.map)) is not None:
                 raise NotAMorphism(f"not a homomorphism at ({bad[0]!r}, {bad[1]!r})")
 
+    @classmethod
+    def _closed(cls, source: ValueObject, target: ValueObject,
+                table: dict[str, str]) -> ValueMorphism:
+        """The morphism with this table, built from checked objects and maps by
+        a construction that keeps the laws: nothing is re-checked."""
+        m = cls.__new__(cls)
+        m.source, m.target, m.map = source, target, table
+        return m
+
     def __call__(self, label: str) -> str:
         return self.map[label]
 
@@ -194,11 +268,12 @@ class ValueMorphism:
     def inverse(self) -> "ValueMorphism":
         if not self.is_bijective():
             raise NotInvertible("morphism is not bijective")
-        return ValueMorphism(self.target, self.source, {v: k for k, v in self.map.items()})
+        return ValueMorphism._closed(self.target, self.source,
+                                     {v: k for k, v in self.map.items()})
 
 
 def identity(obj: ValueObject) -> ValueMorphism:
-    return ValueMorphism(obj, obj, {a: a for a in obj.elements})
+    return ValueMorphism._closed(obj, obj, {a: a for a in obj.elements})
 
 
 def is_identity(m: ValueMorphism, obj: ValueObject) -> bool:
@@ -210,7 +285,7 @@ def compose(outer: ValueMorphism, inner: ValueMorphism) -> ValueMorphism:
     """``outer ∘ inner``; target of ``inner`` must be source of ``outer``."""
     if inner.target != outer.source:
         raise NotComposable("morphisms do not compose")
-    return ValueMorphism(inner.source, outer.target, composite_table(outer, inner))
+    return ValueMorphism._closed(inner.source, outer.target, composite_table(outer, inner))
 
 
 def composite_table(outer: ValueMorphism, inner: ValueMorphism) -> dict[str, str]:
@@ -347,29 +422,44 @@ def family_object(category: str, objects: Mapping[str, ValueObject],
                   families: Mapping[str, Mapping[str, str]]) -> ValueObject:
     """The object whose elements are the labeled families over ``objects``.
 
-    In FinAb the group structure is componentwise; sums and the zero are
-    labeled like the families themselves.
+    In FinAb the group structure is componentwise.  The families form a
+    subgroup of the product (the compatible families of a diagram of
+    homomorphisms), so each sum, the zero and each negative is one of them
+    and is looked up by its components, in the order of ``objects``.
     """
     labels = tuple(sorted(families))
     if category != FINAB:
-        return ValueObject(FINSET, labels)
+        return ValueObject._closed(FINSET, labels)
+    groups = list(objects.values())
+    parts = {label: tuple(families[label][i] for i in objects) for label in labels}
+    label_of = {t: label for label, t in parts.items()}
     add = {}
-    for la, lb in product(labels, repeat=2):
-        fa, fb = families[la], families[lb]
-        add[(la, lb)] = family_label({i: o.add[(fa[i], fb[i])] for i, o in objects.items()})
-    zero = family_label({i: o.zero for i, o in objects.items()})
-    return ValueObject(FINAB, labels, add=add, zero=zero)
+    for n, la in enumerate(labels):
+        ta = parts[la]
+        for lb in labels[n:]:
+            add[(la, lb)] = add[(lb, la)] = label_of[
+                tuple(o.add[(x, y)] for o, x, y in zip(groups, ta, parts[lb]))]
+    zero = label_of[tuple(o.zero for o in groups)]
+    neg = {label: label_of[tuple(o.neg[x] for o, x in zip(groups, t))]
+           for label, t in parts.items()}
+    return ValueObject._closed(FINAB, labels, add, zero, neg)
 
 
 def tupling(source: ValueObject, target: ValueObject,
             legs: Mapping[str, Mapping[str, str]]) -> ValueMorphism:
     """⟨f_i⟩: the map s ↦ (i ↦ legs[i][s]) into the family object ``target``.
 
-    ``legs`` holds one plain table per index of the families in ``target``.
-    A family outside ``target`` fails the ``ValueMorphism`` check.
+    ``legs`` holds one plain table per index of the families in ``target``,
+    each the table of a morphism, so the result is one once it lands in
+    ``target``; a family outside ``target`` raises ``NotAMorphism``.
     """
-    return ValueMorphism(source, target, {
-        s: family_label({i: leg[s] for i, leg in legs.items()}) for s in source.elements})
+    members = set(target.elements)
+    table = {}
+    for s in source.elements:
+        table[s] = label = family_label({i: leg[s] for i, leg in legs.items()})
+        if label not in members:
+            raise NotAMorphism(f"image {label!r} not in target")
+    return ValueMorphism._closed(source, target, table)
 
 
 Check = tuple[int, int, Mapping[str, str], Mapping[str, str]]
@@ -446,7 +536,8 @@ def limit(diagram: Diagram) -> LimitResult:
     families = limit_families(diagram.objects, arrows, idx)
     obj = family_object(diagram.category, {i: diagram.objects[i] for i in idx}, families)
     projections = {
-        i: ValueMorphism(obj, diagram.objects[i], {l: families[l][i] for l in obj.elements})
+        i: ValueMorphism._closed(obj, diagram.objects[i],
+                                 {l: families[l][i] for l in obj.elements})
         for i in idx
     }
     return LimitResult(obj, projections, families)
@@ -546,11 +637,13 @@ def filtered_colimit(diagram: Diagram) -> ColimitResult:
 
         add = {(la, lb): add_classes(la, lb) for la in labels for lb in labels}
         zero = label_of_pair[(idx[0], diagram.objects[idx[0]].zero)]
-        obj = ValueObject(FINAB, labels, add=add, zero=zero)
+        neg = {label: label_of_pair[(i, diagram.objects[i].neg[a])]
+               for label, ((i, a), *_) in classes.items()}
+        obj = ValueObject._closed(FINAB, labels, add, zero, neg)
     else:
-        obj = ValueObject(FINSET, labels)
+        obj = ValueObject._closed(FINSET, labels)
     injections = {
-        i: ValueMorphism(
+        i: ValueMorphism._closed(
             diagram.objects[i], obj,
             {a: label_of_pair[(i, a)] for a in diagram.objects[i].elements},
         )
@@ -573,5 +666,5 @@ def enumerate_morphisms(source: ValueObject, target: ValueObject,
         table = dict(zip(src, images))
         if source.category == FINAB and first_bad_sum(source, target, table) is not None:
             continue
-        out.append(ValueMorphism(source, target, table))
+        out.append(ValueMorphism._closed(source, target, table))
     return out

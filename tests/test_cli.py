@@ -527,6 +527,67 @@ class TestMalformedTables:
              "--presheaf", fixture("pc4_locally_constant.presheaf.json")], capsys)
 
 
+def as_list(table: dict):
+    return [k + v for k, v in table.items()]
+
+
+def as_pairs(table: dict):
+    return [[k, v] for k, v in table.items()]
+
+
+SKYSCRAPER = "sierp_z2_skyscraper.presheaf.json"
+Z2_ADD = ("sections", "0,1", "add")
+Z2_RESTRICTION = ("restrictions", "0,1", "1")
+
+
+class TestTableShapes:
+    """Tables the file format does not define: each once loaded as if it were
+    the table it spells, and now exits 2 with a ``ParseError`` naming it."""
+
+    SHAPES = {
+        "restriction as strings": (
+            SKYSCRAPER, Z2_RESTRICTION, as_list, "restriction '0,1' -> '1' must be a table"),
+        "restriction as pairs": (
+            SKYSCRAPER, Z2_RESTRICTION, as_pairs, "restriction '0,1' -> '1' must be a table"),
+        "add as strings": (
+            SKYSCRAPER, Z2_ADD, lambda add: ["".join(t) for t in add],
+            "add table entry must be an array of three strings, got '000'"),
+        "add as an object": (
+            SKYSCRAPER, Z2_ADD, lambda add: {"".join(t): 0 for t in add},
+            "add table must be an array of triples"),
+        "add entry of two labels": (
+            SKYSCRAPER, Z2_ADD, lambda add: add[:-1] + [["1", "10"]],
+            "add table entry must be an array of three strings, got ['1', '10']"),
+        "add entry of four labels": (
+            SKYSCRAPER, Z2_ADD, lambda add: add[:-1] + [["1", "1", "0", "0"]],
+            "add table entry must be an array of three strings"),
+        "assignment as pairs": (
+            "pc4_to_sierp.map.json", ("assignment",), as_pairs, "assignment must be a table"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_exit_2_naming_the_table(self, shape, tmp_path, capsys):
+        name, path, spell, message = self.SHAPES[shape]
+        with open(fixture(name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = spell(parent[path[-1]])
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        if name.endswith(".map.json"):
+            argv = ["pushforward", "--map", str(bad),
+                    "--presheaf", fixture("pc4_locally_constant.presheaf.json")]
+        else:
+            argv = ["validate", "--presheaf", str(bad)]
+        code = main(argv)
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "ParseError"
+        assert message in err["message"]
+
+
 class TestDeterminism:
     def test_json_reports_byte_identical_across_processes(self):
         cmd = [sys.executable, "-m", "finsheaf", "check-sheaf",

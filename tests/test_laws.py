@@ -1,7 +1,16 @@
 """Each law has one checking function; the checks it replaced stay here.
 
-The functor laws (``values.is_identity``, ``values.first_bad_composite``),
-the homomorphism law (``values.first_bad_sum``) and the naturality squares
+The group laws of ``ValueObject`` (associativity by Light's test on a
+generating set) are compared with the former scan over every triple, on
+every commutative loop of order 6 and on mutated group tables; the
+homomorphism law (``values.first_bad_sum``, on the same generators) with the
+former scan over every pair, on every map between groups of order at most 4
+and on mutated homomorphisms.  Objects and maps built unchecked, through
+``ValueObject._closed`` and ``ValueMorphism._closed``, must pass the checked
+constructors and both full scans.
+
+The functor laws (``values.is_identity``, ``values.first_bad_composite``)
+and the naturality squares
 of a ψ-family (checked by the unique-gluing lookup, ``values.lift_index``
 and ``values.lookup_lifts``) are each compared with the hand-written loop
 they replaced.  So are the one limit presheaf (``presheaf.limit_presheaf``
@@ -16,6 +25,7 @@ by component tables; its former label-keyed comparison stays here too.
 """
 
 import random
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -24,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 from finsheaf import fixtures as fx
 from finsheaf import functors
 from finsheaf.canon import open_key
-from finsheaf.errors import IncompatibleFamily, NotAMorphism
+from finsheaf.errors import IncompatibleFamily, MalformedValue, NotAMorphism
 from finsheaf.functors import (
     PsiMorphism,
     check_adjunction,
@@ -33,6 +43,7 @@ from finsheaf.functors import (
     pullback,
     pushforward,
     pushforward_morphism,
+    sheafify,
 )
 from finsheaf.oracles import (
     enumerate_basis_presheaves,
@@ -42,6 +53,7 @@ from finsheaf.oracles import (
 from finsheaf.presheaf import (
     BasisPresheaf,
     Presheaf,
+    basis_round_trip,
     compose_morphisms,
     constant_presheaf,
     enumerate_presheaf_morphisms,
@@ -51,7 +63,7 @@ from finsheaf.presheaf import (
     restrict_to_basis,
     validate_presheaf,
 )
-from finsheaf.stalks import restriction_diagram, stalk
+from finsheaf.stalks import neighborhood_colimit, restriction_diagram, stalk
 from finsheaf.topology import (
     Basis,
     ContinuousMap,
@@ -78,7 +90,14 @@ from finsheaf.values import (
 )
 from test_acceptance import adjunction_pool
 from test_functors import family_of_psi_morphism
-from test_homs import SMALL_TOPOLOGIES, map_to_point, minimal_basis, small_sheaves, tables
+from test_homs import (
+    SMALL_TOPOLOGIES,
+    THREE_POINT_TOPOLOGIES,
+    map_to_point,
+    minimal_basis,
+    small_sheaves,
+    tables,
+)
 from test_properties import linearized, random_continuous_map, random_presheaf
 
 
@@ -162,6 +181,21 @@ def klein_group() -> ValueObject:
     return ValueObject(FINAB, tuple(labels), add=add, zero="00")
 
 
+def product_group(*orders) -> ValueObject:
+    """Z/n₁ × … × Z/n_k, its elements labeled "x.y…"."""
+    vecs = list(product(*(range(n) for n in orders)))
+
+    def label(vec) -> str:
+        return ".".join(map(str, vec))
+    add = {(label(a), label(b)): label([(x + y) % n for x, y, n in zip(a, b, orders)])
+           for a in vecs for b in vecs}
+    return ValueObject(FINAB, tuple(map(label, vecs)), add=add, zero=label([0] * len(orders)))
+
+
+GROUPS = [cyclic_group(n) for n in range(1, 9)] + [
+    klein_group(), product_group(3, 2), product_group(2, 4), product_group(2, 2, 2)]
+
+
 def test_homomorphism_law_matches_the_reference_on_groups_up_to_order_four():
     groups = [cyclic_group(n) for n in range(1, 5)] + [klein_group()]
     maps = homs = 0
@@ -181,6 +215,208 @@ def test_homomorphism_law_matches_the_reference_on_groups_up_to_order_four():
         assert [m.map for m in enumerate_morphisms(source, target)] == expected
         homs += len(expected)
     assert (maps, homs) == (1444, 60)
+
+
+HOM_PAIRS = [(source, target) for source in GROUPS for target in GROUPS
+             if len(target) ** len(source) <= 1024]
+
+
+@lru_cache(maxsize=None)
+def homs_of_pair(n: int) -> list:
+    return enumerate_morphisms(*HOM_PAIRS[n])
+
+
+@given(st.integers(min_value=0, max_value=len(HOM_PAIRS) - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_homomorphism_law_matches_the_reference_on_mutated_homomorphisms(n, data):
+    """A homomorphism between groups of order at most 8 with one or two
+    entries sent elsewhere (or, by chance, to where they were)."""
+    source, target = HOM_PAIRS[n]
+    table = dict(data.draw(st.sampled_from(homs_of_pair(n))).map)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        table[data.draw(st.sampled_from(source.elements))] = data.draw(
+            st.sampled_from(target.elements))
+    bad = additive_reference(source, target, table)
+    assert first_bad_sum(source, target, table) == bad
+    if bad is not None:
+        with pytest.raises(NotAMorphism, match=f"^not a homomorphism at {bad!r}$".replace(
+                "(", r"\(").replace(")", r"\)")):
+            ValueMorphism(source, target, table)
+
+
+# -- the group laws ---------------------------------------------------------------
+
+def group_laws_reference(elements, add, zero) -> str | None:
+    """The former inverse and associativity checks of ``ValueObject``, for a
+    total commutative table with identity ``zero``: the message of the first
+    law broken, the associativity scan running over every triple, or None."""
+    elems = sorted(elements)
+    for a in elems:
+        if not any(add[(a, b)] == zero for b in elems):
+            return f"no inverse for {a!r}"
+    for a, b, c in product(elems, repeat=3):
+        if add[(add[(a, b)], c)] != add[(a, add[(b, c)])]:
+            return f"not associative at ({a!r}, {b!r}, {c!r})"
+    return None
+
+
+def group_laws_verdict(elements, add, zero) -> str | None:
+    """The message ``ValueObject`` raises for the same table, or None."""
+    try:
+        ValueObject(FINAB, tuple(elements), add=dict(add), zero=zero)
+    except MalformedValue as exc:
+        return str(exc)
+    return None
+
+
+def commutative_loops(n: int):
+    """Every commutative loop on "0" … "n-1" with identity "0": each
+    symmetric Latin square whose row and column of "0" are the identity."""
+    square = [[None] * n for _ in range(n)]
+    for i in range(n):
+        square[0][i] = square[i][0] = i
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+
+    def fill(k: int):
+        if k == len(cells):
+            yield {(str(a), str(b)): str(square[a][b]) for a in range(n) for b in range(n)}
+            return
+        i, j = cells[k]
+        taken = set(square[i]) | set(square[j])
+        for v in range(n):
+            if v not in taken:
+                square[i][j] = square[j][i] = v
+                yield from fill(k + 1)
+        square[i][j] = square[j][i] = None
+    yield from fill(0)
+
+
+def test_group_laws_match_the_reference_on_commutative_loops_of_order_six():
+    """Every loop passes totality, commutativity, the identity and inverses,
+    so each verdict is decided by the associativity check."""
+    elements = [str(a) for a in range(6)]
+    verdicts = []
+    for add in commutative_loops(6):
+        verdicts.append(group_laws_verdict(elements, add, "0"))
+        assert verdicts[-1] == group_laws_reference(elements, add, "0")
+    assert len(verdicts) == 456
+    assert sum(v is not None and v.startswith("not associative") for v in verdicts) == 396
+
+
+def symmetric_mutants(group: ValueObject):
+    """Every table of ``group`` with the entries (a, b) and (b, a), for
+    nonzero a and b, both sent to the same other element: the identity and
+    commutativity hold, so each reaches the inverse and associativity checks."""
+    nonzero = [a for a in group.elements if a != group.zero]
+    for n, a in enumerate(nonzero):
+        for b in nonzero[n:]:
+            for c in group.elements:
+                if c != group.add[(a, b)]:
+                    yield {**group.add, (a, b): c, (b, a): c}
+
+
+def test_group_laws_match_the_reference_on_symmetric_mutants():
+    verdicts = []
+    for group in GROUPS:
+        for add in symmetric_mutants(group):
+            verdicts.append(group_laws_verdict(group.elements, add, group.zero))
+            assert verdicts[-1] == group_laws_reference(group.elements, add, group.zero)
+    assert len(verdicts) == 947
+    assert verdicts.count(None) == 0
+    assert sum(v.startswith("not associative") for v in verdicts) == 761
+
+
+@given(st.sampled_from(GROUPS[1:]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_group_laws_match_the_reference_under_symmetric_mutations(group, data):
+    """One to three symmetric pairs (a, b), (b, a) of nonzero elements sent
+    anywhere; a single entry would fail commutativity before associativity."""
+    nonzero = [a for a in group.elements if a != group.zero]
+    add = dict(group.add)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        a, b = data.draw(st.sampled_from(nonzero)), data.draw(st.sampled_from(nonzero))
+        add[(a, b)] = add[(b, a)] = data.draw(st.sampled_from(group.elements))
+    assert (group_laws_verdict(group.elements, add, group.zero)
+            == group_laws_reference(group.elements, add, group.zero))
+
+
+# -- objects and maps built unchecked --------------------------------------------
+
+@pytest.fixture
+def built_unchecked(monkeypatch):
+    """Every object and map that ``ValueObject._closed`` and
+    ``ValueMorphism._closed`` build while the test runs."""
+    built = []
+    for cls in (ValueObject, ValueMorphism):
+        def record(klass, *args, closed=cls._closed.__func__):
+            made = closed(klass, *args)
+            built.append(made)
+            return made
+        monkeypatch.setattr(cls, "_closed", classmethod(record))
+    return built
+
+
+def object_key(obj: ValueObject) -> tuple:
+    return obj.category, obj.elements, obj.zero, tuple((obj.add or {}).items())
+
+
+def assert_passes_the_full_checks(built) -> tuple[int, int]:
+    """Each distinct object and map in ``built`` passes the checked
+    constructor, and in FinAb the scans over every triple and every pair;
+    returns the numbers of distinct objects and maps."""
+    keys: dict[int, tuple] = {}  # by id: everything keyed stays alive in ``built``
+
+    def key(obj: ValueObject) -> tuple:
+        if id(obj) not in keys:
+            keys[id(obj)] = object_key(obj)
+        return keys[id(obj)]
+    objects, maps = {}, {}
+    for made in built:
+        if isinstance(made, ValueObject):
+            objects.setdefault(key(made), made)
+        else:
+            maps.setdefault((key(made.source), key(made.target), tuple(made.map.items())),
+                            made)
+    for obj in objects.values():
+        assert obj.elements == tuple(sorted(set(obj.elements)))
+        checked = ValueObject(obj.category, obj.elements, add=obj.add and dict(obj.add),
+                              zero=obj.zero)
+        if obj.category == FINAB:
+            assert checked.neg == obj.neg
+            assert group_laws_reference(obj.elements, obj.add, obj.zero) is None
+    for m in maps.values():
+        ValueMorphism(m.source, m.target, dict(m.map))
+        if m.source.category == FINAB:
+            assert additive_reference(m.source, m.target, m.map) is None
+    return len(objects), len(maps)
+
+
+def test_unchecked_constructions_pass_the_full_checks_on_three_points(built_unchecked):
+    """Every sheaf with stalks of size at most 2 on every topology on at most
+    three points, and its Z/2-span: its basis extension.  On at most two
+    points also its stalks as colimits, its limit over all opens, and the
+    round trip through its minimal opens with the composite of both ways,
+    and the same for the Z/3-span on at most one point, where negation is
+    not the identity; and the sheafification, with its unit, of every
+    FinSet presheaf with |G(U)| ≤ 2 and of its Z/2-span.
+    (``enumerate_morphisms`` is checked against the reference above.)"""
+    for space in SMALL_TOPOLOGIES + THREE_POINT_TOPOLOGIES:
+        for bp in small_sheaves(space):
+            z3 = (linearized(bp, 3),) if len(space.points) < 2 else ()
+            for data in (bp, linearized(bp, 2)) + z3:
+                sheaf = extend_from_basis(data).presheaf
+                if space not in SMALL_TOPOLOGIES:
+                    continue
+                for x in sorted(space.points):
+                    neighborhood_colimit(sheaf, x)
+                limit(restriction_diagram(sheaf, space.sorted_opens()))
+                _, there, back = basis_round_trip(sheaf, minimal_basis(space))
+                compose_morphisms(back, there)
+    for space in SMALL_TOPOLOGIES:
+        for g in enumerate_presheaves(space, max_size=2):
+            sheafify(g)
+            sheafify(linearized(g, 2))
+    assert assert_passes_the_full_checks(built_unchecked) == (1534, 7398)
 
 
 # -- naturality squares of a ψ-family -------------------------------------------
@@ -319,7 +555,7 @@ def test_limit_presheaf_and_lift_match_the_references_on_two_points():
     basis presheaf with |F(B)| ≤ 2 and its Z/2-span; every continuous map
     between those topologies, non-T0 sources included, and every FinSet
     presheaf with |G(U)| ≤ 2 downstairs.  (The Z/2-spans of the latter take
-    16 s; the three-point test draws them.)"""
+    5 s; the three-point test draws them.)"""
     extensions = pullbacks = 0
     for space in UP_TO_TWO_POINTS:
         for basis in bases(space):

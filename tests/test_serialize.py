@@ -101,6 +101,43 @@ class TestPresheafRoundTrip:
         assert validate_presheaf(back) is False
 
 
+class TestCheckedOncePerFile:
+    """Equal objects and tables of one file are built and checked once and
+    then shared; a payload that only spells the same thing in another shape,
+    or differs in its zero, is still checked and rejected."""
+
+    def load(self, name, **sections):
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["sections"].update(sections)
+        return ser.presheaf_from_payload(doc, FIXTURES)
+
+    def test_equal_payloads_share_one_object_and_one_map(self):
+        p = self.load("sierp_z2_skyscraper.presheaf.json")
+        empty, one, whole = frozenset(), frozenset({"1"}), frozenset({"0", "1"})
+        assert p.sections[empty] is p.sections[one]
+        assert p.res[(empty, whole)] is p.res[(one, whole)]
+
+    @pytest.mark.parametrize("category, good, bad", [
+        ("FinSet", ["s", "t"], "st"),
+        ("FinAb", {"elements": ["0", "1"], "zero": "0",
+                   "add": [["0", "0", "0"], ["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]},
+         {"elements": ["0", "1"], "zero": "0", "add": ["000", "011", "101", "110"]}),
+        ("FinAb", {"elements": ["0", "1"], "zero": "0",
+                   "add": [["0", "0", "0"], ["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]},
+         {"elements": ["0", "1"], "zero": "1",
+          "add": [["0", "0", "0"], ["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]}),
+    ])
+    def test_a_lookalike_after_a_checked_payload_fails_as_on_its_own(self, category, good, bad):
+        with pytest.raises(ParseError) as alone:
+            ser.value_from_payload(bad, category)
+        name = ("sierp_sheaf.presheaf.json" if category == "FinSet"
+                else "sierp_z2_skyscraper.presheaf.json")
+        with pytest.raises(ParseError) as after:
+            self.load(name, **{"0,1": good, "1": bad})
+        assert str(after.value) == str(alone.value)
+
+
 class TestMapAndGluingRoundTrip:
     def test_map(self):
         m = fx.pc4_to_sierp()

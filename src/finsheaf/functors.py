@@ -26,12 +26,12 @@ from .presheaf import (
     Presheaf,
     PresheafMorphism,
     _homs_into_sheaf,
+    _is_sheaf,
     _natural_morphism,
     compose_morphisms,
     composites_agree,
     cover_lifts,
     identity_morphism,
-    is_sheaf,
     limit_presheaf,
     presheaves_equal,
     restrict_to_open,
@@ -250,12 +250,16 @@ def pullback(psi: ContinuousMap, g: Presheaf) -> InverseImage:
         raise NotASheaf("inverse image needs a functorial presheaf downstairs")
     x_space = psi.source
     germ_open = {x: minimal_open(psi.target, psi(x)) for x in x_space.points}
+    # each minimal open U_x is topped by its first point y with U_y = U_x
+    tops: dict[PointSet, str] = {}
+    for x in sorted(x_space.points):
+        tops.setdefault(minimal_open(x_space, x), x)
     # the germ at each z ∈ U_x is the germ at x restricted to V_ψ(z)
     sheaf, section_families = limit_presheaf(
         x_space, g.category, {x: stalk(g, psi(x)).object for x in x_space.points},
         {(z, x): g.restrict(germ_open[z], germ_open[x])
          for x in x_space.points for z in minimal_open(x_space, x) if z != x},
-        sorted)
+        sorted, tops)
 
     # unit: a section downstairs goes to its germ at ψ(x) for each x upstairs
     pf = pushforward(psi, sheaf)
@@ -274,7 +278,7 @@ def sheafify(g: Presheaf) -> InverseImage:
 # -- the adjunction calculus ---------------------------------------------------
 
 def _require_sheaf(f: Presheaf) -> Presheaf:
-    if not (validate_presheaf(f) and is_sheaf(f)):
+    if not (validate_presheaf(f) and _is_sheaf(f)):
         raise NotASheaf("operation needs a sheaf here")
     return f
 

@@ -119,8 +119,8 @@ def enumerate_presheaves(space: FiniteSpace, max_size: int = 2,
                          min_size: int = 0) -> Iterator[Presheaf]:
     """Every FinSet presheaf on the space with |F(U)| between the bounds."""
     for sections, res in _functors(space.opens, max_size, min_size):
-        # wiring is consistent by construction; skip re-validation
-        yield Presheaf(space, FINSET, sections, res, validate=False)
+        # path independence yields functors only, so nothing is re-validated
+        yield Presheaf._functorial(space, FINSET, sections, res)
 
 
 def enumerate_basis_presheaves(basis: Basis, max_size: int = 2,

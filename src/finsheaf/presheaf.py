@@ -1,16 +1,20 @@
 """Presheaves, morphisms, the gluing axiom, and basis extension.
 
 A presheaf stores one value object per open plus a restriction morphism
-for every inclusion pair.  The sheaf checker tests G1 and G2 on one
-covering per open, the maximal minimal opens inside it (the empty covering
-for the empty set, which forces terminal sections there), and reports
-every violation with witness data.  A ``coverings=`` enumerator overrides
-that choice: ``enumerate_antichain_coverings`` reports every antichain
-covering that fails, ``enumerate_all_coverings`` every covering.
+for every inclusion pair.  The sheaf verdict of a functor pastes along the
+space's pasting steps, one maximal point at a time, and so do the limits
+over the minimal opens.  The sheaf checker reports a failing presheaf by
+G1 and G2 on one covering per open, the maximal minimal opens inside it
+(the empty covering for the empty set, which forces terminal sections
+there), with witness data for every violation.  A ``coverings=``
+enumerator overrides that choice: ``enumerate_antichain_coverings``
+reports every antichain covering that fails, ``enumerate_all_coverings``
+every covering.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -47,6 +51,7 @@ from .values import (
     composite_table,
     cyclic_group,
     enumerate_morphisms,
+    family_label,
     family_object,
     finset,
     first_bad_composite,
@@ -56,13 +61,21 @@ from .values import (
     limit_families,
     lift_index,
     lookup_lifts,
+    projection,
     singleton,
     tupling,
 )
 
 
 class Presheaf:
-    """Sections per open plus restriction morphisms for every inclusion."""
+    """Sections per open plus restriction morphisms for every inclusion.
+
+    ``functorial`` is true only on a presheaf built by ``_functorial``,
+    whose restrictions keep the identity and composition laws by
+    construction; no check sets it.
+    """
+
+    functorial = False
 
     def __init__(
         self,
@@ -91,6 +104,18 @@ class Presheaf:
             if r.source != self.sections[v] or r.target != self.sections[u]:
                 raise ValueMismatch(
                     f"restriction for {open_key(u)!r} ⊆ {open_key(v)!r} connects wrong objects")
+
+    @classmethod
+    def _functorial(cls, space: FiniteSpace, category: str,
+                    sections: dict[PointSet, ValueObject],
+                    res: dict[tuple[PointSet, PointSet], ValueMorphism]) -> Presheaf:
+        """The presheaf with these tables, built by a construction that yields
+        a functor on the opens: nothing is checked, and the sheaf verdict
+        pastes without checking functoriality either."""
+        p = cls.__new__(cls)
+        p.space, p.category, p.sections, p.res = space, category, sections, res
+        p.functorial = True
+        return p
 
     def inclusion_pairs(self) -> list[tuple[PointSet, PointSet]]:
         return self.space.inclusion_pairs()
@@ -322,11 +347,17 @@ def _check_covering(p: Presheaf | BasisPresheaf, u: PointSet, cov: Covering,
 def check_sheaf(p: Presheaf, coverings=None) -> SheafReport:
     """The gluing axiom on the maximal minimal opens inside every open.
 
-    ``coverings`` may override the covering enumerator; the antichain and
-    full power-set enumerations are the regression oracles for the cut.
+    The presheaf is checked to be functorial first, so its verdict pastes
+    (``_is_sheaf``); only when that verdict is false are the coverings
+    checked, to name every failure with its witnesses.  ``coverings`` may
+    override the covering enumerator, which then always runs; the
+    antichain and full power-set enumerations are the regression oracles
+    for the cut.
     """
     if not validate_presheaf(p):
         raise ValueMismatch("presheaf fails functoriality; refusing to check the sheaf axiom")
+    if coverings is None and _is_sheaf(p):
+        return SheafReport(True, [])
     enum = coverings or minimal_open_coverings
     failures: list[SheafFailure] = []
     for u in p.space.sorted_opens():
@@ -336,10 +367,48 @@ def check_sheaf(p: Presheaf, coverings=None) -> SheafReport:
 
 
 def is_sheaf(p: Presheaf, coverings=None) -> bool:
-    """Verdict-only sheaf check with early exit; used by the big oracles."""
-    enum = coverings or minimal_open_coverings
+    """Verdict-only sheaf check; used by the big oracles.
+
+    A presheaf built functorial (``Presheaf.functorial``) is decided by
+    pasting, in time linear in its tables (``_is_sheaf``).  Pasting is
+    sound only for a functor, and this check does not check functoriality:
+    any other presheaf, and any call with ``coverings``, runs G1 and G2 on
+    the coverings, with early exit.
+    """
+    if coverings is None:
+        return _is_sheaf(p, p.functorial)
+    return _covering_verdict(p, coverings)
+
+
+def _is_sheaf(p: Presheaf, functorial: bool = True) -> bool:
+    """``is_sheaf`` for a caller that knows whether p is functorial.
+
+    A functor F is a sheaf iff F(∅) is a point and, at every pasting step
+    (U, U∖E, U_x, U_x∖E) of the space, s ↦ (s|U∖E, s|U_x) is a bijection
+    onto F(U∖E) ×_{F(U_x∖E)} F(U_x): by induction on U, that is F(U) being
+    the limit of F over the minimal opens inside U.  Functoriality puts every
+    image in that fibre product, so the map is a bijection when it is
+    injective and |F(U)| is the size of the product, counted by a hash join.
+    """
+    if not functorial:
+        return _covering_verdict(p, minimal_open_coverings)
+    sections, res = p.sections, p.res
+    if len(sections[frozenset()]) != 1:
+        return False
+    for u, rest, top, overlap in p.space.pasting_steps():
+        to_rest, to_top = res[(rest, u)].map, res[(top, u)].map
+        if len({(to_rest[s], to_top[s]) for s in to_rest}) != len(to_rest):
+            return False
+        over_top = Counter(res[(overlap, top)].map.values())
+        if sum(over_top[r] for r in res[(overlap, rest)].map.values()) != len(to_rest):
+            return False
+    return True
+
+
+def _covering_verdict(p: Presheaf, coverings) -> bool:
+    """G1 and G2 on every covering that ``coverings`` lists, with early exit."""
     for u in p.space.sorted_opens():
-        for cov in enum(p.space, u):
+        for cov in coverings(p.space, u):
             if not _check_covering(p, u, cov, None, _overlap):
                 return False
     return True
@@ -480,20 +549,66 @@ def check_F0(bp: BasisPresheaf) -> SheafReport:
 
 def limit_presheaf(space: FiniteSpace, category: str, objects: Mapping[str, ValueObject],
                    arrows: Mapping[tuple[str, str], ValueMorphism],
-                   within: Callable[[PointSet], Sequence[str]]
+                   within: Callable[[PointSet], Sequence[str]],
+                   tops: Mapping[PointSet, str] | None = None
                    ) -> tuple[Presheaf, dict[PointSet, dict[str, dict[str, str]]]]:
     """The presheaf U ↦ lim over the sorted indices ``within(U)`` of the
     diagram ``objects``, ``arrows`` (checked by the caller, read as in
-    ``values.limit_families``), and each open's families {index: element}."""
+    ``values.limit_families``), and each open's families {index: element},
+    in lex order.
+
+    Without ``tops`` each open's families are scanned for.  ``tops`` names,
+    for a functorial diagram indexed by points or by minimal opens, the
+    index above all others inside each minimal open; then every open is
+    pasted (``_pasted_rows``) and no product is scanned.  Restrictions
+    project families, so the result is functorial by construction.
+    """
     index = {u: within(u) for u in space.sorted_opens()}
-    families, sections, projections = {}, {}, {}
+    rows = None if tops is None else _pasted_rows(space, objects, arrows, index, tops)
+    families, sections = {}, {}
     for u, idx in index.items():
-        families[u] = fams = limit_families(objects, arrows, idx)
-        sections[u] = family_object(category, {i: objects[i] for i in idx}, fams)
-        projections[u] = {i: {label: fam[i] for label, fam in fams.items()} for i in idx}
-    res = {(u, v): tupling(sections[v], sections[u], {i: projections[v][i] for i in index[u]})
-           for u, v in space.inclusion_pairs()}
-    return Presheaf(space, category, sections, res), families
+        if rows is None:
+            families[u] = limit_families(objects, arrows, idx)
+        else:
+            families[u] = {family_label(fam): fam
+                           for fam in (dict(zip(idx, t)) for t in rows[u])}
+        sections[u] = family_object(category, {i: objects[i] for i in idx}, families[u])
+    res = {(u, v): projection(sections[v], sections[u]) for u, v in space.inclusion_pairs()}
+    return Presheaf._functorial(space, category, sections, res), families
+
+
+def _pasted_rows(space: FiniteSpace, objects: Mapping[str, ValueObject],
+                 arrows: Mapping[tuple[str, str], ValueMorphism],
+                 index: Mapping[PointSet, Sequence[str]], tops: Mapping[PointSet, str]
+                 ) -> dict[PointSet, list[tuple[str, ...]]]:
+    """Per open U, the compatible families over ``index[U]`` as component
+    tuples, in lex order, one pasting step at a time.
+
+    On a minimal open each family is fixed by its component at the top
+    index.  At a step (U, U∖E, U_x, U_x∖E) the indices of U are those of
+    U∖E and of U_x, which share those of U_x∖E, and every arrow lies on one
+    side, so L(U) = L(U∖E) ×_{L(U_x∖E)} L(U_x): one hash join.  The cost is
+    linear in the families found.
+    """
+    rows: dict[PointSet, list[tuple[str, ...]]] = {frozenset(): [()]}
+    for m, top in tops.items():
+        legs = [None if i == top else arrows[(i, top)].map for i in index[m]]
+        rows[m] = sorted(tuple(e if leg is None else leg[e] for leg in legs)
+                         for e in objects[top].elements)
+    for u, rest, top, overlap in space.pasting_steps():
+        at_rest = {i: n for n, i in enumerate(index[rest])}
+        at_top = {i: n for n, i in enumerate(index[top])}
+        key_rest = [at_rest[i] for i in index[overlap]]
+        key_top = [at_top[i] for i in index[overlap]]
+        # positions in the concatenation of a row of U∖E and a row of U_x
+        merge = [at_rest[i] if i in at_rest else len(at_rest) + at_top[i] for i in index[u]]
+        by_key: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for t in rows[top]:
+            by_key.setdefault(tuple(map(t.__getitem__, key_top)), []).append(t)
+        rows[u] = sorted(tuple(map((r + t).__getitem__, merge))
+                         for r in rows[rest]
+                         for t in by_key.get(tuple(map(r.__getitem__, key_rest)), ()))
+    return rows
 
 
 @dataclass
@@ -527,15 +642,20 @@ def extend_from_basis(bp: BasisPresheaf) -> BasisExtension:
 
     The canonical projection at a basis open is always a bijection; if the
     basis data passes ``check_F0`` the extension passes ``check_sheaf``.
+    On the basis of minimal opens, each of which is the top of the basis
+    opens inside it, every F′(U) is pasted rather than scanned for.
     """
     if not bp.validate():
         raise ValueMismatch("basis presheaf fails functoriality")
     basis = bp.basis
+    space = basis.space
     key = {b: open_key(b) for b in basis.members}
+    minimal = basis.members == {minimal_open(space, x) for x in space.points}
     presheaf, families = limit_presheaf(
-        basis.space, bp.category, {key[b]: bp.sections[b] for b in basis.members},
+        space, bp.category, {key[b]: bp.sections[b] for b in basis.members},
         {(key[u], key[v]): bp.res[(u, v)] for u, v in bp.basis_pairs() if u != v},
-        lambda u: sorted(key[b] for b in basis.members if b <= u))
+        lambda u: sorted(key[b] for b in basis.members if b <= u),
+        key if minimal else None)
     return BasisExtension(presheaf, bp, families)
 
 

@@ -352,7 +352,8 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
     loaded = _Loaded()
     try:
         space = _resolve_space(payload["space"], base_dir)
-        covering = {lam: frozenset(pts)
+        # points are checked before an open is built, so errors name them in order
+        covering = {lam: frozenset(_labels(pts, f"covering {lam!r}"))
                     for lam, pts in _table(payload["covering"], "covering").items()}
         parts: dict[str, Presheaf] = {}
         for lam, doc in _table(payload["parts"], "parts").items():
@@ -399,7 +400,8 @@ def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
     try:
         index = _table(payload["index"], "index")
         poset = Poset.from_pairs(
-            index["elements"], [tuple(p) for p in index.get("le", [])])
+            _labels(index["elements"], "index elements"),
+            [tuple(_labels(p, "an index relation")) for p in index.get("le", [])])
         sheaves = {}
         for i in poset.elements:
             p = presheaf_from_payload(payload["sheaves"][i], base_dir, loaded=loaded)

@@ -9,7 +9,8 @@ in lexicographic order on sorted point labels.
 
 Three covering enumerators share one signature ``(space, u)``.  The sheaf
 check's default, ``minimal_open_coverings``, gives one covering per open:
-the maximal minimal opens inside it, cached per space.
+the maximal minimal opens inside it, cached per space, as are the
+pasting steps that decide the same verdict on a functorial presheaf.
 ``enumerate_antichain_coverings`` gives every antichain covering and
 ``enumerate_all_coverings`` every covering; both stay as oracles.
 """
@@ -56,11 +57,13 @@ class FiniteSpace:
     ``opens`` must contain the empty set and the full point set and be
     closed under pairwise union and intersection (which suffices for
     arbitrary ones on a finite space).  The minimal opens U_x are the
-    primary data; inclusion pairs and minimal coverings are built on first use.
+    primary data; inclusion pairs, minimal coverings and pasting steps are
+    built on first use.
     """
 
     _inclusion_pairs: list[tuple[PointSet, PointSet]] | None = None
     _minimal_coverings: dict[PointSet, Covering] | None = None
+    _pasting_steps: list[tuple[PointSet, PointSet, PointSet, PointSet]] | None = None
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
         self.points: PointSet = frozenset(_check_label(p) for p in points)
@@ -164,6 +167,27 @@ class FiniteSpace:
                 covs[v] = Covering(v, tuple(m for m in mins if not any(m < n for n in mins)))
             self._minimal_coverings = covs
         return self._minimal_coverings[u]
+
+    def pasting_steps(self) -> list[tuple[PointSet, PointSet, PointSet, PointSet]]:
+        """One step (U, U∖E, U_x, U_x∖E) per open U that is neither ∅ nor a
+        minimal open, smaller opens first; built on first use and kept.
+
+        U_x is the first of U's maximal minimal opens in sorted order, and E
+        the points y with U_y = U_x (more than x only on a non-T₀ space).
+        Both differences are open, and every inclusion among the minimal
+        opens inside U lies in U∖E or in U_x, so a limit over the minimal
+        opens inside U is the pullback of those over U∖E and over U_x.
+        """
+        if self._pasting_steps is None:
+            steps = []
+            for u in sorted(self._sorted_opens, key=len):
+                mins = {self._minimal[x] for x in u}
+                if u and u not in mins:
+                    top = sort_opens(m for m in mins if not any(m < n for n in mins))[0]
+                    e = frozenset(y for y, m in self._minimal.items() if m == top)
+                    steps.append((u, u - e, top, top - e))
+            self._pasting_steps = steps
+        return self._pasting_steps
 
 
 @dataclass(frozen=True)
@@ -391,6 +415,11 @@ def minimal_open_coverings(space: FiniteSpace, u: Iterable[str]) -> list[Coverin
     induction on U, that is G1 and G2 on this covering of every U; for the
     empty set it is the empty covering, which forces terminal sections.
     Verdicts are tested against the antichain and full enumerations.
+
+    On a presheaf known to be functorial, ``is_sheaf`` and ``check_sheaf``
+    reach the same verdict by ``FiniteSpace.pasting_steps`` instead, one
+    hash join per open; passed as ``coverings=``, this enumerator runs G1
+    and G2 on its covering of every open.
     """
     return [space.minimal_covering(space.require_open(u))]
 

@@ -10,8 +10,9 @@ the first witness.  Results built here from checked objects and maps
 construction and are not checked again.  Every canonical construction
 (limit tuples, colimit classes) produces deterministic composite labels.
 A limit's elements are labeled families {index: element}.  ``family_label``
-and ``tupling`` are the only builders of family labels; a map into a
-family object is built as the ``tupling`` of its legs.
+is the only builder of family labels; a family object keeps each family's
+component tuple, and a map into one is built as the ``tupling`` of its
+legs, or as the ``projection`` from a larger family object, by tuple lookups.
 
 A ``Diagram`` is a presheaf on a finite poset: its arrows run from larger
 to smaller index, like restrictions, for limits and colimits alike.
@@ -49,6 +50,10 @@ class ValueObject:
     add: dict[tuple[str, str], str] | None = None
     zero: str | None = None
     neg: dict[str, str] | None = None
+
+    # a family object's (indices, {label: component tuple}, {tuple: label}),
+    # set by ``family_object``; not a field, so equality ignores it
+    _families = None
 
     def __post_init__(self):
         self.elements = tuple(sorted(self.elements))
@@ -328,7 +333,7 @@ class Poset:
                     if b == c and (a, d) not in rel:
                         rel.add((a, d))
                         changed = True
-        for a, b in rel:
+        for a, b in sorted(rel):
             if a not in elems or b not in elems:
                 raise MalformedDiagram(f"relation mentions unknown element ({a!r}, {b!r})")
             if a != b and (b, a) in rel:
@@ -422,27 +427,34 @@ def family_object(category: str, objects: Mapping[str, ValueObject],
                   families: Mapping[str, Mapping[str, str]]) -> ValueObject:
     """The object whose elements are the labeled families over ``objects``.
 
+    It keeps each family's component tuple, in the order of ``objects``,
+    and the label of each tuple, so maps into and between family objects
+    look families up by their components (``tupling``, ``projection``).
     In FinAb the group structure is componentwise.  The families form a
     subgroup of the product (the compatible families of a diagram of
     homomorphisms), so each sum, the zero and each negative is one of them
-    and is looked up by its components, in the order of ``objects``.
+    and is looked up the same way.
     """
+    indices = tuple(objects)
     labels = tuple(sorted(families))
-    if category != FINAB:
-        return ValueObject._closed(FINSET, labels)
-    groups = list(objects.values())
-    parts = {label: tuple(families[label][i] for i in objects) for label in labels}
+    parts = {label: tuple(families[label][i] for i in indices) for label in labels}
     label_of = {t: label for label, t in parts.items()}
-    add = {}
-    for n, la in enumerate(labels):
-        ta = parts[la]
-        for lb in labels[n:]:
-            add[(la, lb)] = add[(lb, la)] = label_of[
-                tuple(o.add[(x, y)] for o, x, y in zip(groups, ta, parts[lb]))]
-    zero = label_of[tuple(o.zero for o in groups)]
-    neg = {label: label_of[tuple(o.neg[x] for o, x in zip(groups, t))]
-           for label, t in parts.items()}
-    return ValueObject._closed(FINAB, labels, add, zero, neg)
+    if category != FINAB:
+        obj = ValueObject._closed(FINSET, labels)
+    else:
+        groups = list(objects.values())
+        add = {}
+        for n, la in enumerate(labels):
+            ta = parts[la]
+            for lb in labels[n:]:
+                add[(la, lb)] = add[(lb, la)] = label_of[
+                    tuple(o.add[(x, y)] for o, x, y in zip(groups, ta, parts[lb]))]
+        zero = label_of[tuple(o.zero for o in groups)]
+        neg = {label: label_of[tuple(o.neg[x] for o, x in zip(groups, t))]
+               for label, t in parts.items()}
+        obj = ValueObject._closed(FINAB, labels, add, zero, neg)
+    obj._families = indices, parts, label_of
+    return obj
 
 
 def tupling(source: ValueObject, target: ValueObject,
@@ -451,15 +463,35 @@ def tupling(source: ValueObject, target: ValueObject,
 
     ``legs`` holds one plain table per index of the families in ``target``,
     each the table of a morphism, so the result is one once it lands in
-    ``target``; a family outside ``target`` raises ``NotAMorphism``.
+    ``target``; a family outside ``target`` raises ``NotAMorphism``.  Each
+    family is looked up by its components; a label is built only for an
+    object that keeps no families, or to name a family that is missing.
     """
-    members = set(target.elements)
+    indices, _, label_of = target._families or ((), {}, {})
+    legs_in_order = [legs[i] for i in indices] if legs.keys() == set(indices) else None
     table = {}
     for s in source.elements:
-        table[s] = label = family_label({i: leg[s] for i, leg in legs.items()})
-        if label not in members:
-            raise NotAMorphism(f"image {label!r} not in target")
+        label = None if legs_in_order is None else label_of.get(
+            tuple(leg[s] for leg in legs_in_order))
+        if label is None:
+            label = family_label({i: leg[s] for i, leg in legs.items()})
+            if label not in target.elements:
+                raise NotAMorphism(f"image {label!r} not in target")
+        table[s] = label
     return ValueMorphism._closed(source, target, table)
+
+
+def projection(source: ValueObject, target: ValueObject) -> ValueMorphism:
+    """The map between family objects that keeps the components at the
+    indices of ``target``'s families, a subset of ``source``'s: the
+    restriction of a limit to a subdiagram.  Every family of ``source``
+    must project to one of ``target``."""
+    indices, parts, _ = source._families
+    position = {i: n for n, i in enumerate(indices)}
+    keep = [position[i] for i in target._families[0]]
+    label_of = target._families[2]
+    return ValueMorphism._closed(source, target, {
+        s: label_of[tuple(map(parts[s].__getitem__, keep))] for s in source.elements})
 
 
 Check = tuple[int, int, Mapping[str, str], Mapping[str, str]]

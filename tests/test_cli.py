@@ -641,3 +641,42 @@ class TestDeterminism:
                 assert res.returncode == 2, (argv, res.stderr)
                 errs.add(res.stderr)
             assert len(errs) == 1, (argv, errs)
+
+    def test_points_that_are_not_strings_are_named_under_every_hash_seed(self, tmp_path):
+        """A covering point or a diagram index element that is not a string,
+        and a two-way index relation, exit 2 with the same stderr under hash
+        seeds 3 and 6, which once named them in opposite orders."""
+        def write(name, doc):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            return str(path)
+
+        def load(name):
+            with open(fixture(name), encoding="utf-8") as fh:
+                return json.load(fh)
+
+        gluing = load("pc4_twisted.gluing.json")
+        gluing["covering"]["2"] = ["a", "b", True]
+        elements = load("sierp_pair.diagram.json")
+        elements["index"]["elements"].append(True)
+        cycle = load("sierp_pair.diagram.json")
+        cycle["index"]["le"] = [["L", "R"], ["R", "L"]]
+        cases = [
+            (["glue", "--gluing", write("point.gluing.json", gluing)], "ParseError",
+             "covering '2' must be an array of strings, got ['a', 'b', True]"),
+            (["limit", "--diagram", write("element.diagram.json", elements)], "ParseError",
+             "index elements must be an array of strings, got ['L', 'R', True]"),
+            (["limit", "--diagram", write("cycle.diagram.json", cycle)], "MalformedDiagram",
+             "not antisymmetric: 'L' and 'R'"),
+        ]
+        for argv, error, message in cases:
+            errs = set()
+            for seed in (3, 6):
+                res = subprocess.run([sys.executable, "-m", "finsheaf", *argv],
+                                     capture_output=True,
+                                     env=dict(os.environ, PYTHONHASHSEED=str(seed)))
+                assert res.returncode == 2, (argv, res.stderr)
+                errs.add(res.stderr)
+            assert len(errs) == 1, (argv, errs)
+            err = json.loads(errs.pop())
+            assert (err["error"], err["message"]) == (error, message)

@@ -1,15 +1,18 @@
-"""Compare the CLI reports of two source trees on every ladder rung.
+"""Compare the CLI reports of two source trees on ladder rungs.
 
-    python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE [--seed N]
+    python3 tools/compare_reports.py PARENT_TREE CHANGE_TREE [RUNG...] [--seed N]
 
-The inputs are the benchmark ladder's rungs for the seed (default 1),
-generated once by ``bench/``'s rung generator next to this script, which
-is only read.  Every rung runs on each tree as ``python -m finsheaf`` in a
-process of its own, with that tree's ``src/`` on ``PYTHONPATH``.  A tree
-solves a rung when it finishes within TIMEOUT_S with the exit code the
-ladder expects and passes the ladder's output check; as in the ladder,
-once a tree fails a rung, the larger rungs of that ladder are not
-attempted on it.
+Without RUNG names the inputs are the benchmark ladder's rungs for the
+seed (default 1), generated once by ``bench/``'s rung generator next to
+this script, which is only read.  Each RUNG is named and built as
+``tools/probe.py`` builds it (``sheafify/C18/FinSet``), so sizes outside
+the ladder's own range can be compared too.  Every rung runs on each tree
+as ``python -m finsheaf`` in a process of its own, with that tree's
+``src/`` on ``PYTHONPATH``.  A tree solves a rung when it finishes within
+TIMEOUT_S with the exit code the ladder expects and passes the ladder's
+output check; as in the ladder, once a tree fails a rung, the larger
+rungs of that ladder are not attempted on it.  Named rungs are compared
+one by one.
 
 The parent tree runs with ``PYTHONHASHSEED=0`` and the change tree with
 ``PYTHONHASHSEED=1``, so a report that depends on the order in which
@@ -33,6 +36,7 @@ BENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benc
 sys.path.insert(0, BENCH_DIR)
 sys.dont_write_bytecode = True  # leave bench/ as it is
 
+from probe import make_rung  # noqa: E402
 from workloads import Ladder  # noqa: E402
 
 TIMEOUT_S = 10.0
@@ -65,14 +69,18 @@ def run(tree: str, hash_seed: str, rung, work: str) -> tuple[bool, tuple]:
     return problem is None, report
 
 
-def compare(trees: tuple[str, str], seed: int) -> int:
+def compare(trees: tuple[str, str], seed: int, rung_names: list[str]) -> int:
     names = ("exit code", "stdout", "stderr", "--out file")
-    ladder = Ladder(budget_s=TIMEOUT_S)
     only: tuple[list[str], list[str]] = ([], [])
     same = differ = 0
     with tempfile.TemporaryDirectory() as work:
-        ladder.setup(None, seed, BENCH_DIR, work)
-        for _, rungs in ladder.ladders:
+        if rung_names:
+            ladders = [(name, [make_rung(name, seed, work)]) for name in rung_names]
+        else:
+            ladder = Ladder(budget_s=TIMEOUT_S)
+            ladder.setup(None, seed, BENCH_DIR, work)
+            ladders = ladder.ladders
+        for _, rungs in ladders:
             solved = [True, True]
             for rung in rungs:
                 runs = [run(tree, HASH_SEEDS[k], rung, work) if solved[k] else (False, ())
@@ -98,9 +106,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
+    ap.add_argument("rungs", nargs="*", metavar="RUNG")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    return compare((args.parent, args.change), args.seed)
+    return compare((args.parent, args.change), args.seed, args.rungs)
 
 
 if __name__ == "__main__":

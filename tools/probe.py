@@ -51,13 +51,19 @@ def verdict(rung, code: int, stdout: str) -> str:
     return problem or "ok"
 
 
-def probe(main, name: str, seed: int, repeat: int, work: str) -> tuple[str, bool]:
-    """One line of results for the rung ``name``, and whether it passed."""
+def make_rung(name: str, seed: int, work: str):
+    """The rung ``name`` (verb/instance/category) for the seed, its input
+    files written under ``work``; the same files for the same name and seed."""
     verb, instance, category = name.split("/")
     family, size = instance[0], int(instance[1:])
     rng = random.Random(f"probe/{seed}/{instance}/{category}")
     inst = _Instance(li.make_space(family, size, rng), li.Value(category, rng), work)
-    rung = _rung(inst, verb, name, os.path.join(work, "out.json"))
+    return _rung(inst, verb, name, os.path.join(work, "out.json"))
+
+
+def probe(main, name: str, seed: int, repeat: int, work: str) -> tuple[str, bool]:
+    """One line of results for the rung ``name``, and whether it passed."""
+    rung = make_rung(name, seed, work)
     seconds, results = [], []
     for _ in range(repeat):
         if rung.out and os.path.exists(rung.out):

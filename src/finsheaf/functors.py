@@ -291,10 +291,11 @@ def sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
     section is the unique one with the transported germs.  Raises when the
     pair fails to behave like an inverse image.
     """
-    _require_sheaf(u.target)
-    if not validate_presheaf(inv.sheaf):
+    f, h = _require_sheaf(u.target), inv.sheaf
+    if not validate_presheaf(h):
         raise NotInverseImagePair("the pair's sheaf is not functorial")
-    return _sharp(u, _Transport(inv, u.target))
+    build = _natural_morphism if presheaves_equal(u.source, inv.source) else PresheafMorphism
+    return build(h, f, _sharp(u, _Transport(inv, f, lift=True)))
 
 
 def _fiber_identification(inv: InverseImage, x: str) -> ValueMorphism:
@@ -314,47 +315,45 @@ class _Transport:
     ψ-morphism, built once.
 
     Per minimal open U_x of X: V = V_ψ(x), the restriction F(ψ⁻¹V) → F(U_x)
-    and β_x.  Per open W of X: its minimal covering, H's restrictions to
-    the parts and ``cover_lifts``' index of F(W).  Points with one minimal
-    open share V and β_x, so each minimal open is kept once.
+    and β_x⁻¹.  With ``lift``, per other open W: its minimal covering, H's
+    restrictions to the parts and ``cover_lifts``' index of F(W).  Points
+    with one minimal open share V and β_x, so each is kept once.
     """
 
-    def __init__(self, inv: InverseImage, f: Presheaf):
+    def __init__(self, inv: InverseImage, f: Presheaf, lift: bool):
         psi, h = inv.psi, inv.sheaf
         self.inv, self.f = inv, f
-        self.germs: dict[PointSet, tuple[PointSet, dict[str, str], dict[str, str]]] = {}
+        self.germs: dict[PointSet, tuple[PointSet, dict[str, str], list[tuple[str, str]]]] = {}
         for x in sorted(psi.source.points):
-            beta = _fiber_identification(inv, x)
+            back = {germ: g for g, germ in _fiber_identification(inv, x).map.items()}
             m, n = minimal_open(psi.source, x), minimal_open(psi.target, psi(x))
-            self.germs[m] = n, f.restrict(m, psi.preimage(n)).map, beta.map
-        self.lifts = cover_lifts(f, psi.source.sorted_opens())
+            self.germs[m] = (n, f.restrict(m, psi.preimage(n)).map,
+                             [(s, back[s]) for s in h.sections[m].elements])
+        self.opens = [w for w in psi.source.sorted_opens() if lift or w in self.germs]
+        self.lifts = cover_lifts(f, [w for w in self.opens if w not in self.germs])
         self.legs = {w: [h.restrict(m, w).map for m in parts]
                      for w, (parts, _) in self.lifts.items()}
 
 
-def _sharp(u: PsiMorphism, t: _Transport) -> PresheafMorphism:
-    """``sharp`` for a caller that has already checked that u.target is a
-    sheaf and the pair's sheaf is functorial.
+def _sharp(u: PsiMorphism, t: _Transport) -> dict[PointSet, ValueMorphism]:
+    """The components of ``sharp(u)`` on ``t.opens``, for a caller that has
+    already checked that u.target is a sheaf and the pair's sheaf is
+    functorial.
 
-    The component at W lifts, over W's minimal covering, the germs that
-    each part's map H(U_x) → F(U_x) transports: undo β_x, apply u at V_ψ(x),
-    restrict to U_x.  H and F are functorial, so for u out of the pair's G
-    the result is natural.
+    On U_x each germ is carried: undo β_x, apply u at V_ψ(x), restrict to
+    U_x; on any other W the parts' images are lifted over its minimal
+    covering.  H and F are functorial, so for u out of G the result is natural.
     """
     h = t.inv.sheaf
-    build = (_natural_morphism if presheaves_equal(u.source, t.inv.source)
-             else PresheafMorphism)
-    carry = {m: {germ: restrict[u.body.components[n].map[g]] for g, germ in beta.items()}
-             for m, (n, restrict, beta) in t.germs.items()}
-    components = {}
+    tables = {m: {s: restrict[u.body.components[n].map[g]] for s, g in back}
+              for m, (n, restrict, back) in t.germs.items()}
     for w, (parts, index) in t.lifts.items():
-        table = lookup_lifts(
+        tables[w] = lookup_lifts(
             index, h.sections[w].elements,
-            [{s: carry[m][r] for s, r in res.items()} for m, res in zip(parts, t.legs[w])],
+            [{s: tables[m][r] for s, r in res.items()} for m, res in zip(parts, t.legs[w])],
             lambda s, n: NotInverseImagePair(
                 f"transported germs over {open_key(w)!r} match {n} sections"))
-        components[w] = ValueMorphism(h.sections[w], t.f.sections[w], table)
-    return build(h, t.f, components)
+    return {w: ValueMorphism(h.sections[w], t.f.sections[w], tables[w]) for w in t.opens}
 
 
 def flat(nu: PresheafMorphism, inv: InverseImage, pushed: Presheaf | None = None) -> PsiMorphism:
@@ -401,10 +400,11 @@ class AdjunctionWitness:
     transpositions: list[tuple[PresheafMorphism, PresheafMorphism]]
 
 
-def _table_key(m: PresheafMorphism, opens: list[PointSet]) -> tuple[str, ...]:
-    """The images of every section over ``opens``, in section order: equal
-    keys are equal morphisms between the same presheaves."""
-    return tuple(m.components[w].map[s] for w in opens for s in m.source.sections[w].elements)
+def _table_key(components: dict[PointSet, ValueMorphism], p: Presheaf,
+               opens: list[PointSet]) -> tuple[str, ...]:
+    """The images of each section of p over ``opens``, in section order;
+    morphisms into a sheaf with equal keys on the minimal opens are equal."""
+    return tuple(components[w].map[s] for w in opens for s in p.sections[w].elements)
 
 
 def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
@@ -414,7 +414,8 @@ def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
 
     Both Hom-sets land in a sheaf, F and ψ_*F, so ``homs_into_sheaf``
     enumerates them, each under the work cap ``max_homs``.  Each transpose
-    is found in the other Hom-set by its component tables.
+    is found in the other Hom-set by its tables on the minimal opens, the
+    only ones on which u♯ is computed.
     ``naturality_probe`` is a morphism F → F₂ of sheaves used to check the
     transposition commutes with postcomposition.
     """
@@ -427,13 +428,14 @@ def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
     # by construction
     upstairs = _homs_into_sheaf(inv.sheaf, f, max_homs, functorial=True)
     downstairs = _homs_into_sheaf(g, pushed, max_homs, functorial=True)
-    opens_x, opens_y = psi.source.sorted_opens(), psi.target.sorted_opens()
-    up_index = {_table_key(nu, opens_x): n for n, nu in enumerate(upstairs)}
-    down_index = {_table_key(u, opens_y): n for n, u in enumerate(downstairs)}
+    h, min_x, min_y = inv.sheaf, psi.source.cover_steps().minimal, psi.target.cover_steps().minimal
+    up_index = {_table_key(nu.components, h, min_x): n for n, nu in enumerate(upstairs)}
+    down_index = {_table_key(u.components, g, min_y): n for n, u in enumerate(downstairs)}
     transpositions = [(nu, flat(nu, inv, pushed).body) for nu in upstairs]
-    forward = [down_index.get(_table_key(image, opens_y)) for _, image in transpositions]
-    transport = _Transport(inv, f)
-    backward = [up_index.get(_table_key(_sharp(PsiMorphism(psi, g, f, u), transport), opens_x))
+    forward = [down_index.get(_table_key(image.components, g, min_y))
+               for _, image in transpositions]
+    transport = _Transport(inv, f, lift=False)
+    backward = [up_index.get(_table_key(_sharp(PsiMorphism(psi, g, f, u), transport), h, min_x))
                 for u in downstairs]
     verdict = (len(upstairs) == len(downstairs)
                and all(j is not None and backward[j] == i for i, j in enumerate(forward))

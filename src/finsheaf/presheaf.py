@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .canon import mapping_label, open_key, sort_opens
+from .canon import mapping_label, open_key
 from .errors import (
     CapExceeded,
     IncompatibleFamily,
@@ -175,8 +175,13 @@ class PresheafMorphism:
 
     def __post_init__(self):
         self._check_endpoints()
-        for u, v in self.source.inclusion_pairs():
-            if not _natural_at(self.source, self.target, self.components, u, v):
+        p, q, comps = self.source, self.target, self.components
+        # squares paste along chains, so between functors the cover steps decide
+        if p.functorial and q.functorial and all(
+                _natural_at(p, q, comps, u, v) for u, v in p.space.cover_steps().steps):
+            return
+        for u, v in p.inclusion_pairs():
+            if not _natural_at(p, q, comps, u, v):
                 raise ValueMismatch(
                     f"component square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
 
@@ -196,7 +201,7 @@ class PresheafMorphism:
         return all(c.is_bijective() for c in self.components.values())
 
     def inverse(self) -> "PresheafMorphism":
-        return PresheafMorphism(
+        return _natural_morphism(
             self.target, self.source,
             {u: c.inverse() for u, c in self.components.items()})
 
@@ -224,7 +229,7 @@ def _natural_morphism(source: Presheaf, target: Presheaf,
 
 
 def identity_morphism(p: Presheaf) -> PresheafMorphism:
-    return PresheafMorphism(p, p, {u: identity(p.sections[u]) for u in p.space.opens})
+    return _natural_morphism(p, p, {u: identity(p.sections[u]) for u in p.space.opens})
 
 
 def compose_morphisms(outer: PresheafMorphism, inner: PresheafMorphism) -> PresheafMorphism:
@@ -271,10 +276,15 @@ def presheaves_equal(p: Presheaf, q: Presheaf) -> bool:
 
 
 def validate_presheaf(p: Presheaf) -> bool:
-    """Identity and composition laws for the restriction morphisms."""
-    return (all(is_identity(p.res[(u, u)], p.sections[u]) for u in p.space.opens)
-            and first_bad_composite([(u, v) for u, v in p.inclusion_pairs() if u != v],
-                                    p.res) is None)
+    """Identity and composition laws for the restriction morphisms, the
+    latter on the ``through`` steps and ``diamonds`` of the space."""
+    res, steps = p.res, p.space.cover_steps()
+    return (all(is_identity(res[(u, u)], p.sections[u]) for u in p.space.opens)
+            and all(composite_table(res[(u, v)], res[(v, w)]) == res[(u, w)].map
+                    for u, v, w in steps.through)
+            and all(composite_table(res[(u, a)], res[(a, t)])
+                    == composite_table(res[(u, b)], res[(b, t)])
+                    for u, a, b, t in steps.diamonds))
 
 
 @dataclass
@@ -561,7 +571,7 @@ def limit_presheaf(space: FiniteSpace, category: str, objects: Mapping[str, Valu
     for a functorial diagram indexed by points or by minimal opens, the
     index above all others inside each minimal open; then every open is
     pasted (``_pasted_rows``) and no product is scanned.  Restrictions
-    project families, so the result is functorial by construction.
+    project families on cover steps and compose on the others: functorial.
     """
     index = {u: within(u) for u in space.sorted_opens()}
     rows = None if tops is None else _pasted_rows(space, objects, arrows, index, tops)
@@ -573,7 +583,12 @@ def limit_presheaf(space: FiniteSpace, category: str, objects: Mapping[str, Valu
             families[u] = {family_label(fam): fam
                            for fam in (dict(zip(idx, t)) for t in rows[u])}
         sections[u] = family_object(category, {i: objects[i] for i in idx}, families[u])
-    res = {(u, v): projection(sections[v], sections[u]) for u, v in space.inclusion_pairs()}
+    steps = space.cover_steps()
+    res = {(u, v): projection(sections[v], sections[u]) for u, v in
+           [(u, u) for u in index] + steps.steps}
+    for u, v, w in steps.through:
+        res[(u, w)] = ValueMorphism._closed(sections[w], sections[u],
+                                            composite_table(res[(u, v)], res[(v, w)]))
     return Presheaf._functorial(space, category, sections, res), families
 
 
@@ -929,13 +944,11 @@ def _homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int,
     space = p.space
     if space != f.space:
         raise ValueMismatch("presheaves live on different spaces")
-    minimal = sort_opens({minimal_open(space, x) for x in space.points})
+    minimal = space.cover_steps().minimal
     # each cover step a ⋖ b is checked once its later position is bound
     squares: list[list[tuple[PointSet, PointSet]]] = [[] for _ in minimal]
-    for j, b in enumerate(minimal):
-        for i, a in enumerate(minimal):
-            if a < b and not any(a < c < b for c in minimal):
-                squares[max(i, j)].append((a, b))
+    for i, j in space.cover_steps().minimal_steps:
+        squares[max(i, j)].append((minimal[i], minimal[j]))
     opens = space.sorted_opens()
     positions = set(minimal)
     lifts = cover_lifts(f, [w for w in opens if w not in positions])

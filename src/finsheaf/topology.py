@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .canon import open_key, sort_opens
 from .errors import (
@@ -57,13 +57,14 @@ class FiniteSpace:
     ``opens`` must contain the empty set and the full point set and be
     closed under pairwise union and intersection (which suffices for
     arbitrary ones on a finite space).  The minimal opens U_x are the
-    primary data; inclusion pairs, minimal coverings and pasting steps are
-    built on first use.
+    primary data; inclusion pairs, minimal coverings, pasting steps and
+    cover steps are built on first use.
     """
 
     _inclusion_pairs: list[tuple[PointSet, PointSet]] | None = None
     _minimal_coverings: dict[PointSet, Covering] | None = None
     _pasting_steps: list[tuple[PointSet, PointSet, PointSet, PointSet]] | None = None
+    _cover_steps: CoverSteps | None = None
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
         self.points: PointSet = frozenset(_check_label(p) for p in points)
@@ -188,6 +189,51 @@ class FiniteSpace:
                     steps.append((u, u - e, top, top - e))
             self._pasting_steps = steps
         return self._pasting_steps
+
+    def cover_steps(self) -> CoverSteps:
+        """The cover steps U ⋖ V of the lattice of opens, built on first use.
+
+        V covers U when V = U ∪ E for the class E = {y : U_y = U_x} of an
+        x ∉ U with U_x∖E ⊆ U, listed by the first point of E: sorted order.
+        The opens form a distributive lattice, so a law that pastes along
+        chains holds on every pair once it holds on ``through`` and ``diamonds``.
+        """
+        if self._cover_steps is None:
+            classes: dict[PointSet, list[str]] = {}
+            for p in sorted(self.points):
+                classes.setdefault(self._minimal[p], []).append(p)
+            # the first point of E lies in an open exactly when U_x does
+            ups = {u: [(u | m, e[0]) for m, e in classes.items()
+                       if e[0] not in u and m.difference(e) <= u] for u in self._sorted_opens}
+            through, below = [], {}
+            for u in sorted(self._sorted_opens, key=len, reverse=True):
+                for w in self._sorted_opens:
+                    for v, x in ups[u] if u < w else ():
+                        if x in w:
+                            if v != w:
+                                through.append((u, v, w))
+                            break
+            for u, covers in ups.items():
+                for v, x in covers:
+                    below.setdefault(v, []).append(x)
+            minimal = [u for u in self._sorted_opens if u in classes]
+            at = {m: i for i, m in enumerate(minimal)}
+            # U_x ⋖ U_y among the minimal opens when U_y∖E_y ∖ E_x ⋖ U_y∖E_y
+            self._cover_steps = CoverSteps(
+                [(u, v) for u, covers in ups.items() for v, _ in covers], through,
+                [(u, a, b, a | b) for u, covers in ups.items()
+                 for i, (a, _) in enumerate(covers) for b, _ in covers[i + 1:]],
+                minimal, [(at[self._minimal[x]], j) for j, m in enumerate(minimal)
+                          for x in below.get(m.difference(classes[m]), ())])
+        return self._cover_steps
+
+
+class CoverSteps(NamedTuple):
+    steps: list[tuple[PointSet, PointSet]]  # every U ⋖ V, U in sorted order
+    through: list[tuple[PointSet, PointSet, PointSet]]  # U ⋖ V ⊊ W, V first in W; larger U first
+    diamonds: list[tuple[PointSet, PointSet, PointSet, PointSet]]  # U ⋖ V₁, V₂ ⋖ V₁ ∪ V₂
+    minimal: list[PointSet]  # the distinct minimal opens, sorted
+    minimal_steps: list[tuple[int, int]]  # (i, j): minimal[i] ⋖ minimal[j] among them
 
 
 @dataclass(frozen=True)

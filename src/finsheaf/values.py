@@ -51,7 +51,7 @@ class ValueObject:
     zero: str | None = None
     neg: dict[str, str] | None = None
 
-    # a family object's (indices, {label: component tuple}, {tuple: label}),
+    # a family object's ({index: position}, {label: component tuple}, {tuple: label}),
     # set by ``family_object``; not a field, so equality ignores it
     _families = None
 
@@ -453,7 +453,7 @@ def family_object(category: str, objects: Mapping[str, ValueObject],
         neg = {label: label_of[tuple(o.neg[x] for o, x in zip(groups, t))]
                for label, t in parts.items()}
         obj = ValueObject._closed(FINAB, labels, add, zero, neg)
-    obj._families = indices, parts, label_of
+    obj._families = {i: n for n, i in enumerate(indices)}, parts, label_of
     return obj
 
 
@@ -486,8 +486,7 @@ def projection(source: ValueObject, target: ValueObject) -> ValueMorphism:
     indices of ``target``'s families, a subset of ``source``'s: the
     restriction of a limit to a subdiagram.  Every family of ``source``
     must project to one of ``target``."""
-    indices, parts, _ = source._families
-    position = {i: n for n, i in enumerate(indices)}
+    position, parts, _ = source._families
     keep = [position[i] for i in target._families[0]]
     label_of = target._families[2]
     return ValueMorphism._closed(source, target, {

@@ -20,11 +20,18 @@ over ``values.limit_families``) and the one map into a basis extension
 
 Morphisms that are natural by construction skip the square check of
 ``PresheafMorphism``; the all-pairs square loop stays here and checks every
-morphism those constructions return.  The adjunction compares transposes
-by component tables; its former label-keyed comparison stays here too.
+morphism those constructions return, and the squares ``PresheafMorphism``
+checks on cover steps.  The functor laws are checked on the cover steps of
+``FiniteSpace.cover_steps``, compared here with a table built from the
+opens alone, and the former scan over every triple.  The adjunction
+compares transposes by their tables on the minimal opens; its former
+all-opens keys and label-keyed comparison stay here too.
 """
 
+import importlib
+import os
 import random
+import sys
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -33,8 +40,9 @@ from hypothesis import given, settings, strategies as st
 
 from finsheaf import fixtures as fx
 from finsheaf import functors
-from finsheaf.canon import open_key
-from finsheaf.errors import IncompatibleFamily, MalformedValue, NotAMorphism
+from finsheaf import presheaf as presheaf_module
+from finsheaf.canon import open_key, sort_opens
+from finsheaf.errors import IncompatibleFamily, MalformedValue, NotAMorphism, ValueMismatch
 from finsheaf.functors import (
     PsiMorphism,
     check_adjunction,
@@ -53,6 +61,7 @@ from finsheaf.oracles import (
 from finsheaf.presheaf import (
     BasisPresheaf,
     Presheaf,
+    PresheafMorphism,
     basis_round_trip,
     compose_morphisms,
     constant_presheaf,
@@ -64,9 +73,11 @@ from finsheaf.presheaf import (
     validate_presheaf,
 )
 from finsheaf.stalks import neighborhood_colimit, restriction_diagram, stalk
+from finsheaf.serialize import load_file, presheaf_from_payload
 from finsheaf.topology import (
     Basis,
     ContinuousMap,
+    FiniteSpace,
     check_continuous,
     identity_map,
     minimal_open,
@@ -99,6 +110,8 @@ from test_homs import (
     tables,
 )
 from test_properties import linearized, random_continuous_map, random_presheaf
+
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
 
 
 # -- functor laws ---------------------------------------------------------------
@@ -151,6 +164,42 @@ def test_functor_laws_match_the_reference_on_two_points():
 
 
 THREE_POINTS = enumerate_topologies(["1", "2", "3"])
+DISCRETE_THREE = THREE_POINTS[-1]
+
+
+@lru_cache(maxsize=None)
+def three_point_sample() -> tuple[Presheaf, ...]:
+    """Every 32nd presheaf with |F(U)| ≤ 2 in enumeration order on each
+    topology on three points but the discrete one, whose 253,861 take 19 s
+    to generate, and 300 random ones there, flagged functorial as the
+    enumerated ones are."""
+    sample = []
+    for space in THREE_POINTS[:-1]:
+        sample += list(enumerate_presheaves(space, max_size=2))[::32]
+    rng = random.Random(0)
+    for _ in range(300):
+        p = random_presheaf(DISCRETE_THREE, rng, max_size=2)
+        sample.append(Presheaf._functorial(p.space, p.category, p.sections, p.res))
+    return tuple(sample)
+
+
+def test_functor_laws_match_the_reference_on_a_three_point_sample():
+    """Every presheaf with |F(U)| ≤ 2 on each topology on three points but
+    the discrete one passes; on ``three_point_sample`` and every
+    single-entry mutant of it the cover-step check agrees with the scan
+    over every triple."""
+    assert len(DISCRETE_THREE.opens) == 8
+    presheaves = 0
+    for space in THREE_POINTS[:-1]:
+        for p in enumerate_presheaves(space, max_size=2):
+            assert validate_presheaf(p)
+            presheaves += 1
+    verdicts = []
+    for p in three_point_sample():
+        assert assert_functor_checks_agree(p)
+        verdicts += [assert_functor_checks_agree(q) for q in mutants(p)]
+    assert (presheaves, len(verdicts)) == (47798, 41822)
+    assert 0 < verdicts.count(True) < len(verdicts)
 
 
 @given(st.sampled_from(THREE_POINTS), st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -162,6 +211,72 @@ def test_functor_laws_match_the_reference_on_three_points(space, seed, data):
     changed = list(mutants(p))
     if changed:
         assert_functor_checks_agree(data.draw(st.sampled_from(changed)))
+
+
+def cover_steps_reference(space: FiniteSpace) -> tuple:
+    """The fields of ``space.cover_steps()`` from the sorted opens alone: V
+    covers U when no open lies strictly between; each U ⊊ W takes the first
+    cover of U inside W, larger U first; every pair of covers of one U makes
+    a diamond."""
+    opens = space.sorted_opens()
+    covers = {u: [v for v in opens if u < v and not any(u < c < v for c in opens)]
+              for u in opens}
+    through = []
+    for u, w in sorted(space.inclusion_pairs(), key=lambda pair: -len(pair[0])):
+        v = next((v for v in covers[u] if v <= w), w)
+        if v != w:
+            through.append((u, v, w))
+    minimal = sort_opens({minimal_open(space, x) for x in space.points})
+    return ([(u, v) for u in opens for v in covers[u]], through,
+            [(u, a, b, a | b) for u in opens
+             for i, a in enumerate(covers[u]) for b in covers[u][i + 1:]],
+            minimal,
+            sorted((i, j) for j, b in enumerate(minimal) for i, a in enumerate(minimal)
+                   if a < b and not any(a < c < b for c in minimal)))
+
+
+def test_cover_steps_match_the_reference_on_four_points():
+    """Every topology on at most four points, non-T0 ones included, and the
+    same space with its minimal opens given in reverse point order."""
+    spaces = 0
+    for points in ([], ["1"], ["1", "2"], ["1", "2", "3"], ["1", "2", "3", "4"]):
+        for space in enumerate_topologies(points):
+            reverse = {x: minimal_open(space, x) for x in sorted(space.points, reverse=True)}
+            for same in (space, FiniteSpace._closed(space.points, space.sorted_opens(), reverse)):
+                steps = same.cover_steps()
+                assert (steps.steps, steps.through, steps.diamonds, steps.minimal,
+                        sorted(steps.minimal_steps)) == cover_steps_reference(space)
+            spaces += 1
+    assert spaces == 390
+
+
+def ladder_sheaf(name: str, work) -> Presheaf:
+    """The sheaf of the ``check-sheaf.sheaf`` rung ``name``, written at seed 1
+    as ``tools/probe.py`` writes it, then loaded."""
+    probe = importlib.import_module("probe")
+    rung = probe.make_rung(f"check-sheaf.sheaf/{name}", 1, str(work))
+    return load_file(rung.argv[2], presheaf_from_payload)
+
+
+def test_functor_check_makes_one_composite_per_pair_plus_two_per_diamond(tmp_path,
+                                                                        monkeypatch):
+    """The locally constant sheaf on the 7-point discrete space takes at most
+    one composite per inclusion pair plus two per diamond; on the 64-point
+    chain, which has no diamonds, at most one per pair."""
+    monkeypatch.syspath_prepend(TOOLS)
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)  # probe sets it
+    calls = []
+
+    def counted(outer, inner):
+        calls.append(None)
+        return composite_table(outer, inner)
+    monkeypatch.setattr(presheaf_module, "composite_table", counted)
+    for name, diamonds in [("D7/FinSet", 21 * 2 ** 5), ("C64/FinSet", 0)]:
+        p = ladder_sheaf(name, tmp_path)
+        assert len(p.space.cover_steps().diamonds) == diamonds
+        calls.clear()
+        assert validate_presheaf(p)
+        assert 0 < len(calls) <= len(p.inclusion_pairs()) + 2 * diamonds
 
 
 # -- the homomorphism law -------------------------------------------------------
@@ -601,18 +716,57 @@ def test_limit_presheaf_and_lift_match_the_references_on_three_points(space, tar
 
 # -- morphisms natural by construction --------------------------------------------
 
+def first_bad_square(source, target, components):
+    """The former all-pairs loop of ``PresheafMorphism.__post_init__``: the
+    first inclusion u ⊆ v, in sorted order, whose square does not commute."""
+    for u, v in source.inclusion_pairs():
+        if (composite_table(components[u], source.restrict(u, v))
+                != composite_table(target.restrict(u, v), components[v])):
+            return u, v
+    return None
+
+
 def squares_reference(m) -> bool:
-    """The former all-pairs loop of ``PresheafMorphism.__post_init__``: every
-    square u ⊆ v commutes."""
-    for u, v in m.source.inclusion_pairs():
-        if (composite_table(m.components[u], m.source.restrict(u, v))
-                != composite_table(m.target.restrict(u, v), m.components[v])):
-            return False
-    return True
+    """Every square u ⊆ v of ``m`` commutes."""
+    return first_bad_square(m.source, m.target, m.components) is None
+
+
+def component_mutants(components):
+    """Every copy of ``components`` with one entry of one map sent elsewhere."""
+    for u in sorted(components, key=sorted):
+        c = components[u]
+        for a in c.source.elements:
+            for b in c.target.elements:
+                if b != c.map[a]:
+                    yield {**components, u: ValueMorphism(c.source, c.target, {**c.map, a: b})}
+
+
+def test_naturality_on_cover_steps_matches_the_all_pairs_loop():
+    """The identity of every presheaf with |F(U)| ≤ 2 on at most two points
+    and of ``three_point_sample``, and every single-entry mutant of it: a
+    morphism between presheaves built functorial is checked on the cover
+    steps, and a failure names the all-pairs loop's first failing square."""
+    natural = failing = 0
+    for p in [p for space in UP_TO_TWO_POINTS for p in enumerate_presheaves(space, max_size=2)
+              ] + list(three_point_sample()):
+        assert p.functorial
+        identity_components = {u: identity(p.sections[u]) for u in p.space.opens}
+        for components in [identity_components, *component_mutants(identity_components)]:
+            bad = first_bad_square(p, p, components)
+            if bad is None:
+                PresheafMorphism(p, p, components)
+                natural += 1
+            else:
+                with pytest.raises(ValueMismatch) as error:
+                    PresheafMorphism(p, p, components)
+                assert str(error.value) == (f"component square fails at {open_key(bad[0])!r} "
+                                            f"⊆ {open_key(bad[1])!r}")
+                failing += 1
+    assert (natural, failing) == (6349, 13178)
 
 
 def built_without_squares(psi, g, f):
-    """Every morphism that ``homs_into_sheaf``, ``_sharp``, ``flat``,
+    """Every morphism that ``homs_into_sheaf``, ``sharp``, ``flat``,
     ``compose_morphisms`` and ``pushforward_morphism`` build for the
     adjunction of (ψ, G, F), as ``check_adjunction`` builds them.
     ψ_*(ν) ∘ unit, the former ``flat``, must equal ``flat``'s ν♭."""
@@ -627,8 +781,7 @@ def built_without_squares(psi, g, f):
         composite = compose_morphisms(pushed, inv.unit)
         assert tables([composite, flat(nu, inv).body]) == tables([image, image])
         built += [image, pushed, composite, compose_morphisms(nu, identity_morphism(inv.sheaf))]
-    transport = functors._Transport(inv, f)
-    built += [functors._sharp(PsiMorphism(psi, g, f, u), transport) for u in downstairs]
+    built += [functors.sharp(PsiMorphism(psi, g, f, u), inv) for u in downstairs]
     return built
 
 
@@ -710,6 +863,53 @@ def test_table_comparison_matches_the_label_comparison_on_the_curated_pool():
     for psi, g, f in triples:
         assert adjunction_tables(check_adjunction(psi, g, f)) == adjunction_reference(psi, g, f)
     assert len(triples) == 23
+
+
+def adjunction_keys_reference(psi, g, f):
+    """The former all-opens keys of ``check_adjunction``: each transpose is
+    found in the other Hom-set by its tables on every open, and u♯ is the
+    whole ``sharp(u)``.  Returns what ``adjunction_tables`` reads."""
+    inv = pullback(psi, g)
+    pushed = pushforward(psi, f)
+    upstairs, downstairs = homs_into_sheaf(inv.sheaf, f), homs_into_sheaf(g, pushed)
+    opens_x, opens_y = psi.source.sorted_opens(), psi.target.sorted_opens()
+
+    def key(m, opens):
+        return tuple(m.components[w].map[s] for w in opens for s in m.source.sections[w].elements)
+    up_index = {key(nu, opens_x): n for n, nu in enumerate(upstairs)}
+    down_index = {key(u, opens_y): n for n, u in enumerate(downstairs)}
+    transpositions = [(nu, flat(nu, inv, pushed).body) for nu in upstairs]
+    forward = [down_index.get(key(image, opens_y)) for _, image in transpositions]
+    backward = [up_index.get(key(functors.sharp(PsiMorphism(psi, g, f, u), inv), opens_x))
+                for u in downstairs]
+    verdict = (len(upstairs) == len(downstairs)
+               and all(j is not None and backward[j] == i for i, j in enumerate(forward))
+               and all(i is not None and forward[i] == j for j, i in enumerate(backward)))
+    return verdict, len(upstairs), len(downstairs), [
+        (tables([nu]), tables([image])) for nu, image in transpositions]
+
+
+def test_minimal_open_keys_match_the_all_opens_keys_on_two_points():
+    """Every continuous map between topologies on at most two points, every
+    sheaf G downstairs and F upstairs with stalks of size ≤ 2, and the
+    Z/2-spans of those with stalks of size ≤ 1."""
+    checks = homs = 0
+    pools = {space: (small_sheaves(space),
+                     [linearized(bp, 2) for bp in enumerate_basis_presheaves(
+                         minimal_basis(space), max_size=1)])
+             for space in UP_TO_TWO_POINTS}
+    for source, target in product(UP_TO_TWO_POINTS, repeat=2):
+        for psi in continuous_maps(source, target):
+            for downstairs, upstairs in zip(pools[target], pools[source]):
+                for g, f in product(downstairs, upstairs):
+                    g, f = extend_from_basis(g).presheaf, extend_from_basis(f).presheaf
+                    if g.category != f.category:  # basis data on no points is FinSet
+                        continue
+                    w = check_adjunction(psi, g, f)
+                    assert adjunction_tables(w) == adjunction_keys_reference(psi, g, f)
+                    checks += 1
+                    homs += w.hom_upstairs
+    assert (checks, homs) == (4440, 7203)
 
 
 def crossing(original):

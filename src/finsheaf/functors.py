@@ -363,7 +363,8 @@ def flat(nu: PresheafMorphism, inv: InverseImage, pushed: Presheaf | None = None
     psi = inv.psi
     if pushed is None:
         pushed = pushforward(psi, nu.target)
-    build = _natural_morphism if presheaves_equal(nu.source, inv.sheaf) else PresheafMorphism
+    # from ν's and the unit's own section objects: natural, nothing to check
+    build = PresheafMorphism._closed if presheaves_equal(nu.source, inv.sheaf) else PresheafMorphism
     body = build(inv.source, pushed, {
         v: compose(nu.components[psi.preimage(v)], inv.unit.components[v])
         for v in psi.target.opens})

@@ -2,13 +2,15 @@
 
 The construction follows the choice-function route: pick for every open
 inside the covering the least part containing it, transport restrictions
-through the cocycle, and extend the resulting basis presheaf by limits.
+through the cocycle, and extend the resulting basis presheaf, which
+satisfies F0 by the gluing theorem, pasted over the minimal opens.
 Least-label choice replaces the axiom of choice; independence from the
 choice is verified by tests rather than assumed.
 
 Every equation that is only tested, never returned, compares component
-tables on the opens inside its overlap (``composites_agree``); no subspace
-or restriction is built.  ``glue`` runs the cocycle check, once, and its
+tables on the opens inside its overlap, or on its minimal opens into a
+checked sheaf (``composites_agree``); no subspace or restriction is
+built.  ``glue`` runs the cocycle check, once, and its
 ``CocycleViolation`` carries the violations.
 """
 
@@ -24,6 +26,8 @@ from .presheaf import (
     BasisPresheaf,
     Presheaf,
     PresheafMorphism,
+    _as_functor,
+    _extension,
     compose_morphisms,
     composites_agree,
     extend_from_basis,
@@ -154,13 +158,15 @@ def glue(d: GluingDatum, choice: Callable[[PointSet], str] | None = None) -> Glu
 
     Basis = opens inside some part; sections over a basis open are taken
     from the chosen part, restrictions transported through the cocycle;
-    the sheaf is the basis extension.
+    the sheaf is the basis extension, pasted when every part checks
+    functorial (``_as_functor``) and scanned for otherwise.
     """
     report = check_cocycle(d)
     if not report.verdict:
         raise CocycleViolation(report.violations)
-    for lam in d.indices():
-        if not is_sheaf(d.parts[lam]):
+    parts = {lam: _as_functor(d.parts[lam]) for lam in d.indices()}
+    for lam, part in parts.items():
+        if not is_sheaf(part):
             raise NotAGluing(f"part {lam!r} is not a sheaf")
     tau_fn = choice or default_choice(d)
     members = [v for v in d.space.sorted_opens()
@@ -180,9 +186,10 @@ def glue(d: GluingDatum, choice: Callable[[PointSet], str] | None = None) -> Glu
             transport = d.cocycle[(tau[v], tau[w])].components[v]
             res[(v, w)] = compose(transport, inner)
     bp = BasisPresheaf(basis, sections, res)
-    ext = extend_from_basis(bp)
+    pasted = all(part.functorial for part in parts.values())
+    ext = _extension(bp, pasted=True) if pasted else extend_from_basis(bp)
     isos = {
-        lam: PresheafMorphism(restrict_to_open(ext.presheaf, d.covering[lam]), d.parts[lam], {
+        lam: PresheafMorphism(restrict_to_open(ext.presheaf, d.covering[lam]), parts[lam], {
             v: compose(d.cocycle[(lam, tau[v])].components[v], ext.can(v))
             for v in d.parts[lam].space.opens})
         for lam in d.indices()}
@@ -190,32 +197,35 @@ def glue(d: GluingDatum, choice: Callable[[PointSet], str] | None = None) -> Glu
 
 
 def check_glued_invariant(d: GluingDatum, g: GluedSheaf) -> bool:
-    """θ_{λμ} = η_λ ∘ η_μ⁻¹, checked as θ_{λμ} ∘ η_μ = η_λ on every overlap open."""
+    """θ_{λμ} = η_λ ∘ η_μ⁻¹, checked as θ_{λμ} ∘ η_μ = η_λ on the minimal opens
+    inside each overlap: both end in a part, a sheaf once ``glue`` accepts d."""
+    minimal = d.space.cover_steps().minimal
     return all(
         composites_agree([d.cocycle[(lam, mu)], g.isos[mu]], [g.isos[lam]],
-                         d.space.opens_within(d.overlap(lam, mu)))
+                         [m for m in minimal if m <= d.overlap(lam, mu)])
         for lam in d.indices() for mu in d.indices())
 
 
 def glued_uniqueness(d: GluingDatum, candidate: GluedSheaf,
                      result: GluedSheaf | None = None) -> PresheafMorphism:
     """The unique isomorphism Φ: candidate.sheaf → glue(d).sheaf with
-    ζ_λ = η_λ ∘ Φ|_{U_λ} for every part."""
+    ζ_λ = η_λ ∘ Φ|_{U_λ} for every part; d is glued before the invariant."""
     if not is_sheaf(candidate.sheaf):
         raise NotAGluing("candidate is not a sheaf")
     for lam in d.indices():
         if not candidate.isos[lam].is_isomorphism():
             raise NotAGluing(f"candidate iso at {lam!r} is not an isomorphism")
+    result = result or glue(d)
     if not check_glued_invariant(d, candidate):
         raise NotAGluing("candidate does not satisfy the gluing invariant")
-    result = result or glue(d)
     phi = result.extension.lift(candidate.sheaf, {
         v: candidate.isos[lam].components[v] for v, lam in result.tau.items()})
     if not phi.is_isomorphism():
         raise NotAGluing("comparison with the glued sheaf is not bijective")
+    minimal = d.space.cover_steps().minimal
     for lam in d.indices():
         if not composites_agree([candidate.isos[lam]], [result.isos[lam], phi],
-                                d.space.opens_within(d.covering[lam])):
+                                [m for m in minimal if m <= d.covering[lam]]):
             raise NotAGluing(f"comparison does not intertwine the isos at {lam!r}")
     return phi
 

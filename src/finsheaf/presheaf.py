@@ -42,7 +42,6 @@ from .values import (
     Diagram,
     FINSET,
     LiftIndex,
-    LimitResult,
     Poset,
     ValueMorphism,
     ValueObject,
@@ -57,7 +56,6 @@ from .values import (
     first_bad_composite,
     identity,
     is_identity,
-    limit,
     limit_families,
     lift_index,
     lookup_lifts,
@@ -185,6 +183,14 @@ class PresheafMorphism:
                 raise ValueMismatch(
                     f"component square fails at {open_key(u)!r} ⊆ {open_key(v)!r}")
 
+    @classmethod
+    def _closed(cls, source: Presheaf, target: Presheaf,
+                components: dict[PointSet, ValueMorphism]) -> PresheafMorphism:
+        """Unchecked, for components built from the endpoints' own objects."""
+        m = cls.__new__(cls)
+        m.source, m.target, m.components = source, target, components
+        return m
+
     def _check_endpoints(self) -> None:
         if self.source.space != self.target.space:
             raise ValueMismatch("morphism endpoints live on different spaces")
@@ -222,8 +228,7 @@ def _natural_morphism(source: Presheaf, target: Presheaf,
                       components: dict[PointSet, ValueMorphism]) -> PresheafMorphism:
     """A morphism that is natural by construction: the endpoint checks of
     ``PresheafMorphism`` without its naturality squares."""
-    m = PresheafMorphism.__new__(PresheafMorphism)
-    m.source, m.target, m.components = source, target, components
+    m = PresheafMorphism._closed(source, target, components)
     m._check_endpoints()
     return m
 
@@ -273,6 +278,14 @@ def is_restriction(p: Presheaf, q: Presheaf, u: PointSet) -> bool:
 def presheaves_equal(p: Presheaf, q: Presheaf) -> bool:
     """Structural table equality (not mere isomorphism)."""
     return p is q or (p.space == q.space and is_restriction(p, q, q.space.points))
+
+
+def _as_functor(p: Presheaf) -> Presheaf:
+    """``p`` flagged functorial, sharing its tables, once ``validate_presheaf``
+    passes, so an input is checked once; ``p`` itself if flagged or failing."""
+    if p.functorial or not validate_presheaf(p):
+        return p
+    return Presheaf._functorial(p.space, p.category, p.sections, p.res)
 
 
 def validate_presheaf(p: Presheaf) -> bool:
@@ -357,14 +370,14 @@ def _check_covering(p: Presheaf | BasisPresheaf, u: PointSet, cov: Covering,
 def check_sheaf(p: Presheaf, coverings=None) -> SheafReport:
     """The gluing axiom on the maximal minimal opens inside every open.
 
-    The presheaf is checked to be functorial first, so its verdict pastes
-    (``_is_sheaf``); only when that verdict is false are the coverings
-    checked, to name every failure with its witnesses.  ``coverings`` may
-    override the covering enumerator, which then always runs; the
+    A presheaf not built functorial is checked to be functorial first, so
+    its verdict pastes (``_is_sheaf``); only when that verdict is false are
+    the coverings checked, to name every failure with its witnesses.
+    ``coverings`` may override the covering enumerator, which then always runs; the
     antichain and full power-set enumerations are the regression oracles
     for the cut.
     """
-    if not validate_presheaf(p):
+    if not (p.functorial or validate_presheaf(p)):
         raise ValueMismatch("presheaf fails functoriality; refusing to check the sheaf axiom")
     if coverings is None and _is_sheaf(p):
         return SheafReport(True, [])
@@ -475,13 +488,13 @@ def _lcm(a: int, b: int) -> int:
 
 
 def restrict_to_open(p: Presheaf, u: Iterable[str]) -> Presheaf:
-    """The induced presheaf on the subspace carried by an open set."""
-    su = p.space.require_open(u)
-    sub = subspace(p.space, su)
-    return Presheaf(
-        sub, p.category,
-        {v: p.sections[v] for v in sub.opens},
-        {(v, w): p.res[(v, w)] for v in sub.opens for w in sub.opens if v <= w})
+    """The induced presheaf on the subspace of an open; functorial if ``p`` is."""
+    sub = subspace(p.space, u)
+    sections = {v: p.sections[v] for v in sub.opens}
+    res = {(v, w): p.res[(v, w)] for v, w in sub.inclusion_pairs()}
+    if p.functorial:  # a restriction keeps the functor laws
+        return Presheaf._functorial(sub, p.category, sections, res)
+    return Presheaf(sub, p.category, sections, res)
 
 
 def restrict_morphism(m: PresheafMorphism, u: Iterable[str]) -> PresheafMorphism:
@@ -560,7 +573,8 @@ def check_F0(bp: BasisPresheaf) -> SheafReport:
 def limit_presheaf(space: FiniteSpace, category: str, objects: Mapping[str, ValueObject],
                    arrows: Mapping[tuple[str, str], ValueMorphism],
                    within: Callable[[PointSet], Sequence[str]],
-                   tops: Mapping[PointSet, str] | None = None
+                   tops: Mapping[PointSet, str] | None = None,
+                   lifts: Mapping[str, Sequence[str]] | None = None
                    ) -> tuple[Presheaf, dict[PointSet, dict[str, dict[str, str]]]]:
     """The presheaf U ↦ lim over the sorted indices ``within(U)`` of the
     diagram ``objects``, ``arrows`` (checked by the caller, read as in
@@ -568,13 +582,13 @@ def limit_presheaf(space: FiniteSpace, category: str, objects: Mapping[str, Valu
     in lex order.
 
     Without ``tops`` each open's families are scanned for.  ``tops`` names,
-    for a functorial diagram indexed by points or by minimal opens, the
+    for a functorial diagram indexed by points or by basis opens, the
     index above all others inside each minimal open; then every open is
-    pasted (``_pasted_rows``) and no product is scanned.  Restrictions
-    project families on cover steps and compose on the others: functorial.
+    pasted (``_pasted_rows``, with ``lifts``) and no product is scanned.
+    Restrictions project families on cover steps and compose on the others.
     """
     index = {u: within(u) for u in space.sorted_opens()}
-    rows = None if tops is None else _pasted_rows(space, objects, arrows, index, tops)
+    rows = None if tops is None else _pasted_rows(space, objects, arrows, index, tops, lifts)
     families, sections = {}, {}
     for u, idx in index.items():
         if rows is None:
@@ -583,18 +597,27 @@ def limit_presheaf(space: FiniteSpace, category: str, objects: Mapping[str, Valu
             families[u] = {family_label(fam): fam
                            for fam in (dict(zip(idx, t)) for t in rows[u])}
         sections[u] = family_object(category, {i: objects[i] for i in idx}, families[u])
+    return _functor_on_steps(space, category, sections, lambda u, v: projection(
+        sections[v], sections[u])), families
+
+
+def _functor_on_steps(space: FiniteSpace, category: str, sections: dict[PointSet, ValueObject],
+                      step: Callable[[PointSet, PointSet], ValueMorphism]) -> Presheaf:
+    """The functor with these sections, ``step(U, V)`` on each cover step U ⋖ V
+    (commuting on diamonds by construction) and composites on the others."""
     steps = space.cover_steps()
-    res = {(u, v): projection(sections[v], sections[u]) for u, v in
-           [(u, u) for u in index] + steps.steps}
+    res = {(u, u): identity(sections[u]) for u in sections}
+    res.update({(u, v): step(u, v) for u, v in steps.steps})
     for u, v, w in steps.through:
         res[(u, w)] = ValueMorphism._closed(sections[w], sections[u],
                                             composite_table(res[(u, v)], res[(v, w)]))
-    return Presheaf._functorial(space, category, sections, res), families
+    return Presheaf._functorial(space, category, sections, res)
 
 
 def _pasted_rows(space: FiniteSpace, objects: Mapping[str, ValueObject],
                  arrows: Mapping[tuple[str, str], ValueMorphism],
-                 index: Mapping[PointSet, Sequence[str]], tops: Mapping[PointSet, str]
+                 index: Mapping[PointSet, Sequence[str]], tops: Mapping[PointSet, str],
+                 lifts: Mapping[str, Sequence[str]] | None = None
                  ) -> dict[PointSet, list[tuple[str, ...]]]:
     """Per open U, the compatible families over ``index[U]`` as component
     tuples, in lex order, one pasting step at a time.
@@ -604,25 +627,39 @@ def _pasted_rows(space: FiniteSpace, objects: Mapping[str, ValueObject],
     U∖E and of U_x, which share those of U_x∖E, and every arrow lies on one
     side, so L(U) = L(U∖E) ×_{L(U_x∖E)} L(U_x): one hash join.  The cost is
     linear in the families found.
+
+    ``lifts`` maps each other index, for data known to satisfy F0, to the
+    tops of its open's minimal covering, where its component is looked up.
     """
+    lifts = lifts or {}
+    pasted = {u: [i for i in idx if i not in lifts] for u, idx in index.items()}
     rows: dict[PointSet, list[tuple[str, ...]]] = {frozenset(): [()]}
     for m, top in tops.items():
-        legs = [None if i == top else arrows[(i, top)].map for i in index[m]]
+        legs = [None if i == top else arrows[(i, top)].map for i in pasted[m]]
         rows[m] = sorted(tuple(e if leg is None else leg[e] for leg in legs)
                          for e in objects[top].elements)
     for u, rest, top, overlap in space.pasting_steps():
-        at_rest = {i: n for n, i in enumerate(index[rest])}
-        at_top = {i: n for n, i in enumerate(index[top])}
-        key_rest = [at_rest[i] for i in index[overlap]]
-        key_top = [at_top[i] for i in index[overlap]]
+        at_rest = {i: n for n, i in enumerate(pasted[rest])}
+        at_top = {i: n for n, i in enumerate(pasted[top])}
+        key_rest = [at_rest[i] for i in pasted[overlap]]
+        key_top = [at_top[i] for i in pasted[overlap]]
         # positions in the concatenation of a row of U∖E and a row of U_x
-        merge = [at_rest[i] if i in at_rest else len(at_rest) + at_top[i] for i in index[u]]
+        merge = [at_rest[i] if i in at_rest else len(at_rest) + at_top[i] for i in pasted[u]]
         by_key: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
         for t in rows[top]:
             by_key.setdefault(tuple(map(t.__getitem__, key_top)), []).append(t)
         rows[u] = sorted(tuple(map((r + t).__getitem__, merge))
                          for r in rows[rest]
                          for t in by_key.get(tuple(map(r.__getitem__, key_rest)), ()))
+    if lifts:
+        found = {i: lift_index(objects[i].elements, [arrows[(t, i)].map for t in ts])
+                 for i, ts in lifts.items()}
+        for u, idx in index.items():
+            at = {i: n for n, i in enumerate(pasted[u])}
+            # a pasted index reads its own position, a lifted one its tops' positions
+            cols = [(found.get(i), [at[t] for t in lifts[i]] if i in lifts else at[i]) for i in idx]
+            rows[u] = sorted(tuple(r[n] if f is None else f[tuple(r[k] for k in n)][0]
+                                   for f, n in cols) for r in rows[u])
     return rows
 
 
@@ -662,15 +699,23 @@ def extend_from_basis(bp: BasisPresheaf) -> BasisExtension:
     """
     if not bp.validate():
         raise ValueMismatch("basis presheaf fails functoriality")
+    return _extension(bp, bp.basis.members == set(bp.basis.space.cover_steps().minimal))
+
+
+def _extension(bp: BasisPresheaf, pasted: bool) -> BasisExtension:
+    """``extend_from_basis`` for functorial basis data, pasted (``_pasted_rows``)
+    when it satisfies F0, as it always does on the minimal opens alone."""
     basis = bp.basis
     space = basis.space
     key = {b: open_key(b) for b in basis.members}
-    minimal = basis.members == {minimal_open(space, x) for x in space.points}
+    tops = {m: key[m] for m in space.cover_steps().minimal}
     presheaf, families = limit_presheaf(
         space, bp.category, {key[b]: bp.sections[b] for b in basis.members},
         {(key[u], key[v]): bp.res[(u, v)] for u, v in bp.basis_pairs() if u != v},
         lambda u: sorted(key[b] for b in basis.members if b <= u),
-        key if minimal else None)
+        tops if pasted else None,
+        {key[b]: [key[m] for m in space.minimal_covering(b).parts]
+         for b in basis.members if b not in tops})
     return BasisExtension(presheaf, bp, families)
 
 
@@ -767,15 +812,15 @@ class SheafDiagram:
     """A poset-indexed system of sheaves on one space.
 
     Like a ``Diagram``, it is a presheaf on its index poset: the arrow for
-    ``i < j`` runs from the sheaf at ``j`` to the sheaf at ``i``.  The value
-    diagram at each open, which checks identities and composites, is built
-    once and kept in ``diagrams``.
+    ``i < j`` runs from the sheaf at ``j`` to the sheaf at ``i``.  Each
+    sheaf is checked once (``_as_functor``).  Arrows end in sheaves, so a
+    value ``Diagram`` checks their laws at ∅ and the minimal opens; at
+    every open if a node is no sheaf, so each error is the one it was.
     """
 
     index: Poset
     sheaves: dict[str, Presheaf]
     arrows: dict[tuple[str, str], PresheafMorphism]
-    diagrams: dict[PointSet, Diagram] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spaces = {s.space for s in self.sheaves.values()}
@@ -791,15 +836,18 @@ class SheafDiagram:
             if not (presheaves_equal(arr.source, self.sheaves[j])
                     and presheaves_equal(arr.target, self.sheaves[i])):
                 raise MalformedDiagram(f"arrow at ({i!r}, {j!r}) connects wrong sheaves")
-        opens = next(iter(spaces)).opens if spaces else ()
-        self.diagrams = {
-            u: Diagram(self.index,
-                       {i: self.sheaves[i].sections[u] for i in self.index.elements},
-                       {pair: arr.components[u] for pair, arr in self.arrows.items()})
-            for u in opens
-        }
-        for i, s in self.sheaves.items():
-            if not is_sheaf(s):
+        if not spaces:
+            return
+        space = next(iter(spaces))
+        self.sheaves = {i: _as_functor(s) for i, s in self.sheaves.items()}
+        sheaf = {i: is_sheaf(s) for i, s in self.sheaves.items()}
+        opens = ([frozenset(), *space.cover_steps().minimal] if all(sheaf.values())
+                 else space.sorted_opens())
+        for u in opens:
+            Diagram(self.index, {i: s.sections[u] for i, s in self.sheaves.items()},
+                    {pair: arr.components[u] for pair, arr in self.arrows.items()})
+        for i, verdict in sheaf.items():
+            if not verdict:
                 raise MalformedDiagram(f"node {i!r} is not a sheaf")
 
 
@@ -807,32 +855,61 @@ class SheafDiagram:
 class SheafLimit:
     presheaf: Presheaf
     projections: dict[str, PresheafMorphism]
-    limits: dict[PointSet, LimitResult]
+    # per open U, each section's family {index: section of that index's sheaf over U}
+    families: dict[PointSet, dict[str, dict[str, str]]]
     diagram: SheafDiagram
 
 
 def limit_of_sheaves(d: SheafDiagram) -> SheafLimit:
-    """Open-wise projective limit; the result is again a sheaf."""
+    """Open-wise projective limit; the result is again a sheaf.
+
+    For functorial nodes the value limit is taken at ∅ and the minimal
+    opens only; every other open is pasted, each s_i glued from its two
+    restrictions by F_i's pasting bijection, into a scan's lex order.
+    Other nodes keep the scan and a restriction tupled at every inclusion.
+    """
     space = next(iter(d.sheaves.values())).space if d.sheaves else None
     if space is None:
         raise MalformedDiagram("empty sheaf diagram needs a space; supply one sheaf")
     category = next(iter(d.sheaves.values())).category
-    limits = {u: limit(d.diagrams[u]) for u in space.opens}
-    sections = {u: limits[u].object for u in space.opens}
-    res = {
-        (u, v): tupling(sections[v], sections[u], {
-            i: composite_table(d.sheaves[i].restrict(u, v), limits[v].projections[i])
-            for i in d.index.elements})
-        for u, v in space.inclusion_pairs()
-    }
-    out = Presheaf(space, category, sections, res)
-    projections = {
-        i: PresheafMorphism(
-            out, d.sheaves[i],
-            {u: limits[u].projections[i] for u in space.opens})
-        for i in d.index.elements
-    }
-    return SheafLimit(out, projections, limits, d)
+    idx, pairs, sheaves = list(d.index.elements), d.index.pairs_below(), d.sheaves
+    opens = space.sorted_opens()
+
+    def value_limit(u: PointSet) -> list[tuple[str, ...]]:  # tuples over idx, lex order
+        return [tuple(fam.values()) for fam in limit_families(
+            {i: sheaves[i].sections[u] for i in idx},
+            {p: d.arrows[p].components[u] for p in pairs}, idx).values()]
+    functorial, nodes = all(s.functorial for s in sheaves.values()), [sheaves[i] for i in idx]
+    rows = {u: value_limit(u) for u in ([frozenset(), *space.cover_steps().minimal]
+                                         if functorial else opens)}
+    for u, rest, top, overlap in space.pasting_steps() if functorial else ():
+        # L(U) = L(U∖E) ×_{L(U_x∖E)} L(U_x), and each s_i is glued from its two restrictions
+        glued = [{(f.res[(rest, u)].map[s], f.res[(top, u)].map[s]): s
+                  for s in f.sections[u].elements} for f in nodes]
+        by_key: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for t in rows[top]:
+            by_key.setdefault(tuple(f.res[(overlap, top)].map[e] for f, e in zip(nodes, t)),
+                              []).append(t)
+        rows[u] = sorted(tuple(g[pair] for g, pair in zip(glued, zip(a, b))) for a in rows[rest]
+                         for b in by_key.get(tuple(f.res[(overlap, rest)].map[e]
+                                                   for f, e in zip(nodes, a)), ()))
+    families = {u: {family_label(fam): fam for fam in (dict(zip(idx, t)) for t in rows[u])}
+                for u in opens}
+    sections = {u: family_object(category, {i: sheaves[i].sections[u] for i in idx},
+                                 families[u]) for u in opens}
+
+    def restriction(u: PointSet, v: PointSet) -> ValueMorphism:
+        return tupling(sections[v], sections[u], {
+            i: {label: sheaves[i].res[(u, v)].map[fam[i]] for label, fam in families[v].items()}
+            for i in idx})
+    out = (_functor_on_steps(space, category, sections, restriction) if functorial else
+           Presheaf(space, category, sections,
+                    {(u, v): restriction(u, v) for u, v in space.inclusion_pairs()}))
+    projections = {i: PresheafMorphism._closed(out, sheaves[i], {
+        u: ValueMorphism._closed(sections[u], sheaves[i].sections[u],
+                                 {label: fam[i] for label, fam in families[u].items()})
+        for u in opens}) for i in idx}
+    return SheafLimit(out, projections, families, d)
 
 
 def mediating_sheaf_morphism(lim: SheafLimit, cone: Mapping[str, PresheafMorphism]) -> PresheafMorphism:
@@ -845,7 +922,8 @@ def mediating_sheaf_morphism(lim: SheafLimit, cone: Mapping[str, PresheafMorphis
         if not (presheaves_equal(leg.source, tip) and presheaves_equal(leg.target, d.sheaves[i])):
             raise IncompatibleFamily(f"cone leg at {i!r} does not run from the tip to its sheaf")
     for (i, j) in d.index.pairs_below():
-        if not composites_agree([d.arrows[(i, j)], cone[j]], [cone[i]], tip.space.opens):
+        if not composites_agree([d.arrows[(i, j)], cone[j]], [cone[i]],
+                                tip.space.cover_steps().minimal):
             raise IncompatibleFamily(f"cone does not commute over ({i!r}, {j!r})")
     comp = {
         u: tupling(tip.sections[u], lim.presheaf.sections[u],
@@ -939,8 +1017,8 @@ def homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int = 10 ** 6) -> list[P
 def _homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int,
                      functorial: bool) -> list[PresheafMorphism]:
     """``homs_into_sheaf`` for a caller that knows whether p and f are
-    functorial.  If they are, every morphism it lifts is natural, and its
-    squares are not checked again."""
+    functorial.  If they are, every morphism it lifts is natural and built
+    from the endpoints' own section objects, and nothing is checked again."""
     space = p.space
     if space != f.space:
         raise ValueMismatch("presheaves live on different spaces")
@@ -953,7 +1031,7 @@ def _homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int,
     positions = set(minimal)
     lifts = cover_lifts(f, [w for w in opens if w not in positions])
     legs = {w: [p.restrict(m, w) for m in parts] for w, (parts, _) in lifts.items()}
-    build = _natural_morphism if functorial else PresheafMorphism
+    build = PresheafMorphism._closed if functorial else PresheafMorphism
     rank = {w: {t: n for n, t in enumerate(f.sections[w].elements)} for w in opens}
     found = []
     for comps in _natural_components(p, f, minimal, squares, max_homs):

@@ -21,7 +21,8 @@ from typing import Any, Callable, TypeVar
 from .canon import Rows, materialize, open_key, write_canonical
 from .errors import CrossReferenceError, ParseError
 from .gluing import GluingDatum
-from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism, SheafDiagram
+from .presheaf import (BasisPresheaf, Presheaf, PresheafMorphism, SheafDiagram, _as_functor,
+                       restrict_to_open)
 from .topology import Basis, ContinuousMap, FiniteSpace, PointSet, space_from_generators, subspace
 from .values import (
     FINAB,
@@ -206,13 +207,15 @@ def _resolve_space(payload, base_dir: str) -> FiniteSpace:
 
 
 def presheaf_from_payload(payload: dict, base_dir: str = ".", *,
-                          loaded: _Loaded | None = None) -> Presheaf | BasisPresheaf:
+                          loaded: _Loaded | None = None,
+                          space: FiniteSpace | None = None) -> Presheaf | BasisPresheaf:
     """The presheaf of a file payload; ``loaded`` holds what the same file
-    has loaded already, for the parts of a gluing or diagram file."""
+    has loaded already, for the parts of a gluing or diagram file, and
+    ``space`` the space a gluing part lives on, in place of the payload's."""
     loaded = loaded or _Loaded()
     try:
         category = payload["category"]
-        space = _resolve_space(payload["space"], base_dir)
+        space = space or _resolve_space(payload["space"], base_dir)
         raw_sections = payload["sections"]
         raw_restrictions = payload.get("restrictions", {})
         basis_arr = payload.get("basis")
@@ -347,8 +350,6 @@ def gluing_to_payload(d: GluingDatum) -> dict:
 
 
 def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
-    from .presheaf import restrict_to_open
-
     loaded = _Loaded()
     try:
         space = _resolve_space(payload["space"], base_dir)
@@ -359,11 +360,11 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
         for lam, doc in _table(payload["parts"], "parts").items():
             local = dict(_table(doc, f"part {lam!r}"))
             local["schema"] = PRESHEAF_SCHEMA
-            local["space"] = space_to_payload(subspace(space, covering[lam]))
-            part = presheaf_from_payload(local, base_dir, loaded=loaded)
+            part = presheaf_from_payload(local, base_dir, loaded=loaded,
+                                         space=subspace(space, covering[lam]))
             if isinstance(part, BasisPresheaf):
                 raise ParseError("gluing parts must be full presheaves")
-            parts[lam] = part
+            parts[lam] = _as_functor(part)  # checked once, so the cocycle checks cover steps
         cocycle: dict[tuple[str, str], PresheafMorphism] = {}
         for lam, row in _table(payload.get("cocycle", {}), "cocycle").items():
             for mu, tables in _table(row, f"cocycle row {lam!r}").items():
@@ -407,7 +408,7 @@ def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
             p = presheaf_from_payload(payload["sheaves"][i], base_dir, loaded=loaded)
             if isinstance(p, BasisPresheaf):
                 raise ParseError("diagram nodes must be full presheaves")
-            sheaves[i] = p
+            sheaves[i] = _as_functor(p)  # checked once, so the arrows check cover steps
         arrows = {}
         for (i, j) in poset.pairs_below():
             row = _table(payload["arrows"], "arrows").get(i, {})

@@ -118,7 +118,7 @@ class FiniteSpace:
 
     # vv Equality is extensional: same points, same opens.
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FiniteSpace)
             and self.points == other.points
             and self.opens == other.opens
@@ -415,10 +415,14 @@ def require_continuous(m: ContinuousMap) -> ContinuousMap:
 
 
 def subspace(space: FiniteSpace, u: Iterable[str]) -> FiniteSpace:
-    """The subspace on an *open* subset: its opens are the opens inside it."""
+    """The subspace on an *open* subset: its opens are the opens inside it.
+    Built once per open and kept, with its cover and pasting steps."""
     su = space.require_open(u)
-    return FiniteSpace._closed(su, space.opens_within(su),
-                               {x: space._minimal[x] for x in su})
+    kept = space.__dict__.setdefault("_subspaces", {})
+    if su not in kept:
+        kept[su] = FiniteSpace._closed(su, space.opens_within(su),
+                                       {x: space._minimal[x] for x in su})
+    return kept[su]
 
 
 def open_inclusion(space: FiniteSpace, u: Iterable[str]) -> ContinuousMap:

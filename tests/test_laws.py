@@ -26,6 +26,11 @@ checks on cover steps.  The functor laws are checked on the cover steps of
 opens alone, and the former scan over every triple.  The adjunction
 compares transposes by their tables on the minimal opens; its former
 all-opens keys and label-keyed comparison stay here too.
+
+``glue`` and ``limit_of_sheaves`` paste over the minimal opens; the former
+scanned ``glue`` (the product scan of ``extend_from_basis`` over the opens
+inside some part) and the per-open ``limit`` of a checked ``Diagram`` stay
+here as their references, for families, their order and labels.
 """
 
 import importlib
@@ -34,6 +39,7 @@ import random
 import sys
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +59,7 @@ from finsheaf.functors import (
     pushforward_morphism,
     sheafify,
 )
+from finsheaf.gluing import GluingDatum, default_choice, glue, restrict_gluing
 from finsheaf.oracles import (
     enumerate_basis_presheaves,
     enumerate_presheaves,
@@ -62,6 +69,7 @@ from finsheaf.presheaf import (
     BasisPresheaf,
     Presheaf,
     PresheafMorphism,
+    SheafDiagram,
     basis_round_trip,
     compose_morphisms,
     constant_presheaf,
@@ -69,11 +77,18 @@ from finsheaf.presheaf import (
     extend_from_basis,
     homs_into_sheaf,
     identity_morphism,
+    limit_of_sheaves,
     restrict_to_basis,
+    restrict_to_open,
     validate_presheaf,
 )
 from finsheaf.stalks import neighborhood_colimit, restriction_diagram, stalk
-from finsheaf.serialize import load_file, presheaf_from_payload
+from finsheaf.serialize import (
+    diagram_from_payload,
+    gluing_from_payload,
+    load_file,
+    presheaf_from_payload,
+)
 from finsheaf.topology import (
     Basis,
     ContinuousMap,
@@ -84,9 +99,12 @@ from finsheaf.topology import (
 )
 from finsheaf.values import (
     FINAB,
+    Diagram,
+    Poset,
     ValueMorphism,
     ValueObject,
     compatible_families,
+    compose,
     composite_table,
     cyclic_group,
     enumerate_morphisms,
@@ -99,7 +117,9 @@ from finsheaf.values import (
     limit,
     tupling,
 )
-from test_acceptance import adjunction_pool
+from test_acceptance import FIXTURES, adjunction_pool
+from test_gluing import AB, U1, U2, coverings, pc4_datum, self_gluing
+from test_presheaf import CONST_A, SWAP, point_chain
 from test_functors import family_of_psi_morphism
 from test_homs import (
     SMALL_TOPOLOGIES,
@@ -935,3 +955,228 @@ def test_verdict_is_false_when_a_transpose_lands_on_another_element(name, monkey
     assert (w.verdict, w.hom_upstairs, w.hom_downstairs) == (False, 16, 16)
     monkeypatch.setattr(functors, name, crossing(original))
     assert adjunction_reference(psi, g, f)[:3] == (False, 16, 16)
+
+
+# -- glue and limits of sheaves, pasted ----------------------------------------------
+
+def glue_reference(d: GluingDatum, choice=None):
+    """The former ``glue``: the opens inside some part as a basis, each with
+    the chosen part's sections and restrictions transported through the
+    cocycle, extended by ``extend_from_basis``, which scans the product
+    over each open on a basis with more than the minimal opens; returns
+    the choice and that extension."""
+    tau_fn = choice or default_choice(d)
+    members = [v for v in d.space.sorted_opens() if any(v <= u for u in d.covering.values())]
+    tau = {v: tau_fn(v) for v in members}
+    bp = BasisPresheaf(Basis(d.space, frozenset(members)),
+                       {v: d.parts[tau[v]].sections[v] for v in members},
+                       {(v, w): compose(d.cocycle[(tau[v], tau[w])].components[v],
+                                        d.parts[tau[w]].restrict(v, w))
+                        for v in members for w in members if v <= w})
+    return tau, extend_from_basis(bp)
+
+
+def assert_glue_matches(d: GluingDatum, choice=None) -> None:
+    """Sections, families (their order and labels), restrictions and each
+    η_λ of ``glue`` equal the reference's."""
+    g = glue(d, choice)
+    tau, ext = glue_reference(d, choice)
+    assert len(ext.source.basis.members) > len(d.space.cover_steps().minimal)  # scanned
+    assert g.tau == tau
+    for u in d.space.opens:
+        assert g.sheaf.sections[u] == ext.presheaf.sections[u]
+        assert list(g.extension.families[u].items()) == list(ext.families[u].items())
+    assert {pair: r.map for pair, r in g.sheaf.res.items()} == {
+        pair: r.map for pair, r in ext.presheaf.res.items()}
+    for lam in d.indices():
+        assert {v: c.map for v, c in g.isos[lam].components.items()} == {
+            v: composite_table(d.cocycle[(lam, tau[v])].components[v], ext.can(v))
+            for v in d.parts[lam].space.opens}
+
+
+def last_choice(d: GluingDatum):
+    """The greatest index whose part contains the open."""
+    return lambda v: max(lam for lam, u in d.covering.items() if v <= u)
+
+
+def two_part_gluings(sheaf, every: bool):
+    """``sheaf`` glued from its restrictions to each two opens U₁ ≤ U₂ (in
+    sorted order) that cover its space, with θ₁₂ each automorphism of the
+    sheaf on U₁ ∩ U₂; unless ``every``, only for U₁ ⊄ U₂ and with the first
+    and the last automorphism."""
+    space = sheaf.space
+    opens = space.sorted_opens()
+    for n, u1 in enumerate(opens):
+        for u2 in opens[n:]:
+            if u1 | u2 != space.points or not (every or not u1 <= u2):
+                continue
+            overlap = restrict_to_open(sheaf, u1 & u2)
+            isos = [m for m in homs_into_sheaf(overlap, overlap) if m.is_isomorphism()]
+            for theta in isos if every else {id(m): m for m in isos[:1] + isos[-1:]}.values():
+                yield GluingDatum(space, {"1": u1, "2": u2},
+                                  {"1": restrict_to_open(sheaf, u1),
+                                   "2": restrict_to_open(sheaf, u2)}, {("1", "2"): theta})
+
+
+def limit_reference(d: SheafDiagram):
+    """The former ``limit_of_sheaves``: per open, the ``limit`` of a checked
+    ``Diagram`` of the nodes' sections, and every restriction tupled from
+    the nodes' restrictions; returns those limits and restriction tables."""
+    space = next(iter(d.sheaves.values())).space
+    limits = {u: limit(Diagram(d.index, {i: s.sections[u] for i, s in d.sheaves.items()},
+                               {pair: arr.components[u] for pair, arr in d.arrows.items()}))
+              for u in space.opens}
+    res = {(u, v): tupling(limits[v].object, limits[u].object, {
+        i: composite_table(d.sheaves[i].restrict(u, v), limits[v].projections[i])
+        for i in d.index.elements}).map for u, v in space.inclusion_pairs()}
+    return limits, res
+
+
+def assert_limit_matches(d: SheafDiagram) -> None:
+    """Sections, families (their order and labels), restrictions and
+    projections of ``limit_of_sheaves`` equal the reference's."""
+    lim = limit_of_sheaves(d)
+    limits, res = limit_reference(d)
+    for u in lim.presheaf.space.opens:
+        assert lim.presheaf.sections[u] == limits[u].object
+        assert list(lim.families[u].items()) == list(limits[u].families.items())
+        for i, projection in lim.projections.items():
+            assert projection.components[u].map == limits[u].projections[i].map
+    assert {pair: r.map for pair, r in lim.presheaf.res.items()} == res
+
+
+PAIR = Poset.from_pairs(["L", "R"], [])
+CHAIN = Poset.from_pairs(["L", "R"], [("L", "R")])
+
+
+def two_node_diagrams(left, right):
+    """The product of ``left`` and ``right``, and each morphism right → left
+    as the arrow of L ≤ R."""
+    yield SheafDiagram(PAIR, {"L": left, "R": right}, {})
+    for arrow in homs_into_sheaf(right, left):
+        yield SheafDiagram(CHAIN, {"L": left, "R": right}, {("L", "R"): arrow})
+
+
+def test_glue_and_limits_match_the_references_on_three_points():
+    """Every FinSet sheaf with stalks of size ≤ 2 on every topology on at
+    most three points, glued from its restrictions to every two covering
+    opens: on at most two points with every automorphism as θ₁₂, under the
+    least and the greatest choice; on three, from two opens neither inside
+    the other, with the first and the last automorphism, under the least.
+    And every two of those sheaves on at most two points, and each with
+    itself on three, as a product and joined by every morphism.  (All of
+    it on three points took 22 s; the hypothesis test below samples it.)"""
+    data = diagrams = 0
+    for space in UP_TO_TWO_POINTS + THREE_POINTS:
+        few = len(space.points) < 3
+        sheaves = [extend_from_basis(bp).presheaf for bp in small_sheaves(space)]
+        for sheaf in sheaves:
+            for d in two_part_gluings(sheaf, few):
+                for choice in (None, last_choice(d)) if few else (None,):
+                    assert_glue_matches(d, choice)
+                data += 1
+        pairs = product(sheaves, repeat=2) if few else [(s, s) for s in sheaves]
+        for left, right in pairs:
+            for d in two_node_diagrams(left, right):
+                assert_limit_matches(d)
+                diagrams += 1
+    assert (data, diagrams) == (4043, 7221)
+
+
+def pool_gluings() -> list[GluingDatum]:
+    """The gluing data of ``tests/test_gluing.py`` and of the fixture files
+    that glue."""
+    pc4, disc2, two = fx.pseudocircle()[0], fx.disc2()[0], finset(["0", "1"])
+    sheaf = fx.locally_constant_sheaf(pc4, two)
+    untwisted, twisted = pc4_datum(pc4, twisted=False), pc4_datum(pc4, twisted=True)
+    one, other = frozenset({"1"}), frozenset({"2"})
+    return [untwisted, twisted, self_gluing(sheaf, {"1": U1, "2": U2}),
+            self_gluing(sheaf, {"1": U1, "2": U2, "3": AB}), restrict_gluing(twisted, U1),
+            restrict_gluing(twisted, pc4.points), restrict_gluing(untwisted, frozenset()),
+            restrict_gluing(self_gluing(fx.locally_constant_sheaf(disc2, two),
+                                        {"1": one, "2": other}), one)] + [
+        load_file(os.path.join(FIXTURES, f"pc4_{kind}.gluing.json"), gluing_from_payload)
+        for kind in ("untwisted", "twisted")]
+
+
+def pool_diagrams() -> list[SheafDiagram]:
+    """The sheaf diagrams of ``tests/test_presheaf.py``, of criterion 11 and
+    of the fixture file, and the Z/2 skyscraper alone and squared."""
+    sheaf, skyscraper = fx.sierp_two_section_sheaf(), fx.sierp_z2_skyscraper()
+    smaller = fx.locally_constant_sheaf(fx.sierpinski()[0], finset(["0"]))
+    (collapse,) = homs_into_sheaf(sheaf, smaller)
+    one, cospan = Poset.from_pairs(["a"], []), Poset.from_pairs(["a", "b", "c"],
+                                                                  [("c", "a"), ("c", "b")])
+    same = identity_morphism(sheaf)
+    return [
+        SheafDiagram(one, {"a": sheaf}, {}), SheafDiagram(PAIR, {"L": sheaf, "R": sheaf}, {}),
+        SheafDiagram(cospan, {n: sheaf for n in "abc"}, {("c", "a"): same, ("c", "b"): same}),
+        point_chain(CONST_A, SWAP, CONST_A),
+        SheafDiagram(CHAIN, {"L": smaller, "R": sheaf}, {("L", "R"): collapse}),
+        SheafDiagram(cospan, {"a": sheaf, "b": sheaf, "c": smaller},
+                     {("c", "a"): collapse, ("c", "b"): collapse}),
+        SheafDiagram(one, {"a": skyscraper}, {}),
+        SheafDiagram(PAIR, {"L": skyscraper, "R": skyscraper}, {}),
+        load_file(os.path.join(FIXTURES, "sierp_pair.diagram.json"), diagram_from_payload)]
+
+
+def test_glue_and_limits_match_the_references_on_the_test_pools():
+    """Every pooled datum under the least and the greatest choice; the
+    greatest choice on the empty space is the least."""
+    data, diagrams = pool_gluings(), pool_diagrams()
+    for d in data:
+        for choice in (None, last_choice(d) if d.space.points else None):
+            assert_glue_matches(d, choice)
+    for d in diagrams:
+        assert_limit_matches(d)
+    assert (len(data), len(diagrams)) == (10, 9)
+
+
+def small_enough_sheaf(space, rng: random.Random, max_size: int, z2: bool) -> Presheaf:
+    """A random sheaf with stalks of size ≤ ``max_size``, or the Z/2-span of
+    one, the first whose sections over all opens multiply to at most 2,000:
+    each reference scans such a product, and every FinSet sheaf with one
+    section per stalk passes."""
+    while True:
+        bp = restrict_to_basis(random_presheaf(space, rng, max_size), minimal_basis(space))
+        sheaf = extend_from_basis(linearized(bp, 2) if z2 else bp).presheaf
+        if prod(len(obj) for obj in sheaf.sections.values()) <= 2000:
+            return sheaf
+        max_size = max(1, max_size - 1) if not z2 else max_size
+
+
+SPARSE_FOUR_POINTS = [space for space in enumerate_topologies(["1", "2", "3", "4"])
+                      if len(space.opens) <= 6]
+
+
+@given(st.sampled_from(THREE_POINTS + SPARSE_FOUR_POINTS), st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_glue_and_limits_match_the_references_by_hypothesis(space, z2, seed, data):
+    """A random sheaf on a topology on three points or on four points with
+    at most six opens, FinSet with stalks of size ≤ 3 or the Z/2-span of one
+    with stalks of size ≤ 1: glued from its restrictions to two or three
+    covering opens, under the least choice, with θ₀₁ drawn from the
+    automorphisms on the overlap of two (FinSet) or the identity; and, with a second
+    such sheaf, as a product and joined by a drawn morphism (Z/2: the sheaf
+    with itself and the identity)."""
+    rng = random.Random(seed)
+    sheaf = small_enough_sheaf(space, rng, 1 if z2 else 3, z2)
+    covering = data.draw(coverings(space))
+    d = self_gluing(sheaf, covering)
+    for lam, mu in [("0", "1")] if len(covering) == 2 and not z2 else []:
+        overlap = restrict_to_open(sheaf, covering[lam] & covering[mu])
+        isos = [m for m in homs_into_sheaf(overlap, overlap) if m.is_isomorphism()]
+        d.cocycle[(lam, mu)] = data.draw(st.sampled_from(isos))
+        d.cocycle[(mu, lam)] = d.cocycle[(lam, mu)].inverse()
+    assert_glue_matches(d)
+    if z2:
+        assert_limit_matches(SheafDiagram(CHAIN, {"L": sheaf, "R": sheaf},
+                                          {("L", "R"): identity_morphism(sheaf)}))
+        return
+    other = small_enough_sheaf(space, rng, 3, False)
+    assert_limit_matches(SheafDiagram(PAIR, {"L": sheaf, "R": other}, {}))
+    arrows = homs_into_sheaf(other, sheaf, max_homs=10 ** 5)
+    if arrows:
+        assert_limit_matches(SheafDiagram(CHAIN, {"L": sheaf, "R": other},
+                                          {("L", "R"): data.draw(st.sampled_from(arrows))}))

@@ -17,6 +17,7 @@ their labels; with the scan made to raise, the pasted paths still run.
 
 import random
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,14 +25,19 @@ from hypothesis import given, settings, strategies as st
 from finsheaf import presheaf as presheaf_module
 from finsheaf import values as values_module
 from finsheaf.functors import pullback, sheafify
+from finsheaf.gluing import GluingDatum, glue
 from finsheaf.oracles import enumerate_basis_presheaves, enumerate_presheaves, enumerate_topologies
 from finsheaf.presheaf import (
     Presheaf,
     check_sheaf,
     constant_presheaf,
+    SheafDiagram,
     extend_from_basis,
+    identity_morphism,
     is_sheaf,
+    limit_of_sheaves,
     restrict_to_basis,
+    restrict_to_open,
 )
 from finsheaf.topology import (
     Basis,
@@ -43,7 +49,7 @@ from finsheaf.topology import (
     minimal_open_coverings,
     space_from_generators,
 )
-from finsheaf.values import finset
+from finsheaf.values import Poset, compatible_families as scan, finset
 
 from test_homs import minimal_basis
 from test_laws import assert_extension_matches, assert_pullback_matches, mutants
@@ -191,12 +197,15 @@ def discrete(n: int):
     return space_from_generators(points, [[x] for x in points])
 
 
-def test_pasted_paths_run_without_the_product_scan(no_scan):
-    """Sheafification, the inverse image along the map to a point and the
-    extension from the minimal opens on the 32-point chain, and the sheaf
-    verdict on the 8-point discrete space, with the scan made to raise."""
+def test_pasted_paths_run_without_the_product_scan(no_scan, monkeypatch):
+    """Sheafification, the inverse image along the map to a point, the
+    extension from the minimal opens and the gluing of two restrictions on
+    the 32-point chain, and the sheaf verdict on the 8-point discrete space,
+    with the scan made to raise.  The limit of two sheaves on the 6-point
+    discrete space scans only the products at ∅ and the minimal opens."""
     two = finset(["0", "1"])
     c32 = chain(32)
+    half = next(u for u in c32.opens if len(u) == 16)
     counts = {u: 2 if u else 1 for u in c32.opens}
     inv = sheafify(constant_presheaf(c32, two))
     assert {u: len(s) for u, s in inv.sheaf.sections.items()} == counts
@@ -208,6 +217,11 @@ def test_pasted_paths_run_without_the_product_scan(no_scan):
     assert {u: len(s) for u, s in ext.presheaf.sections.items()} == counts
     assert all(ext.can(b).is_bijective() for b in ext.source.basis.members)
 
+    lower = restrict_to_open(inv.sheaf, half)
+    glued = glue(GluingDatum(c32, {"1": c32.points, "2": half}, {"1": inv.sheaf, "2": lower},
+                             {("1", "2"): identity_morphism(lower)}))
+    assert {u: len(s) for u, s in glued.sheaf.sections.items()} == counts
+
     d8 = discrete(8)
     sheaf = extend_from_basis(restrict_to_basis(constant_presheaf(d8, two),
                                                 minimal_basis(d8))).presheaf
@@ -216,6 +230,21 @@ def test_pasted_paths_run_without_the_product_scan(no_scan):
     # a basis with more than the minimal opens still scans, so the guard bites
     with pytest.raises(AssertionError, match="product scan"):
         extend_from_basis(restrict_to_basis(inv.sheaf, Basis(c32, c32.opens)))
+
+    d6 = discrete(6)
+    sheaf6 = extend_from_basis(restrict_to_basis(constant_presheaf(d6, two),
+                                                 minimal_basis(d6))).presheaf
+    scanned = []
+
+    def small_scan(domains, checks):
+        scanned.append(prod(map(len, domains)))
+        return scan(domains, checks)
+    monkeypatch.setattr(values_module, "compatible_families", small_scan)
+    lim = limit_of_sheaves(SheafDiagram(Poset.from_pairs(["L", "R"], [("L", "R")]),
+                                        {"L": sheaf6, "R": sheaf6},
+                                        {("L", "R"): identity_morphism(sheaf6)}))
+    assert len(lim.presheaf.sections[d6.points]) == 2 ** 6
+    assert scanned == [1] + [4] * 6
 
 
 def test_pasting_steps_split_every_other_open():

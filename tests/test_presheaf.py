@@ -621,7 +621,7 @@ class TestLimitOfNoncommutingArrows:
         # arrow(i, k) = arrow(i, j) ∘ arrow(j, k), though swap ∘ const ≠ const
         lim = limit_of_sheaves(point_chain(CONST_A, SWAP, CONST_A))
         assert check_sheaf(lim.presheaf).verdict
-        families = {tuple(sorted(f.items())) for f in lim.limits[PT].families.values()}
+        families = {tuple(sorted(f.items())) for f in lim.families[PT].values()}
         assert families == {
             (("i", "a"), ("j", "a"), ("k", "b")),
             (("i", "a"), ("j", "b"), ("k", "a")),

@@ -26,7 +26,6 @@ from .presheaf import (
     check_simple_equivalence,
     extend_from_basis,
     limit_of_sheaves,
-    validate_presheaf,
 )
 from .functors import check_adjunction, pullback, pushforward, sheafify
 from .stalks import stalk, support
@@ -74,11 +73,7 @@ def _need_basis(p, what: str) -> BasisPresheaf:
 
 
 def cmd_validate(args) -> tuple[dict, bool]:
-    p = _load_presheaf(args.presheaf)
-    if isinstance(p, BasisPresheaf):
-        verdict = p.validate()
-    else:
-        verdict = validate_presheaf(p)
+    verdict = _load_presheaf(args.presheaf).functorial
     return {"functorial": verdict}, verdict
 
 

@@ -25,17 +25,16 @@ from .errors import (
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
-    _homs_into_sheaf,
-    _is_sheaf,
     _natural_morphism,
     compose_morphisms,
     composites_agree,
     cover_lifts,
+    homs_into_sheaf,
     identity_morphism,
+    is_sheaf,
     limit_presheaf,
     presheaves_equal,
     restrict_to_open,
-    validate_presheaf,
 )
 from .stalks import stalk, support
 from .topology import (
@@ -60,7 +59,8 @@ from .values import (
 # -- direct image -------------------------------------------------------------
 
 def pushforward(psi: ContinuousMap, f: Presheaf) -> Presheaf:
-    """The presheaf U ↦ F(ψ⁻¹(U)) on the target; sheaf in, sheaf out."""
+    """The presheaf U ↦ F(ψ⁻¹(U)) on the target; sheaf in, sheaf out, and
+    functor in, functor out, since ψ⁻¹ keeps inclusions."""
     _require_continuous(psi)
     if f.space != psi.source:
         raise NotContinuous("presheaf does not live on the map's source")
@@ -68,6 +68,8 @@ def pushforward(psi: ContinuousMap, f: Presheaf) -> Presheaf:
     pre = {u: psi.preimage(u) for u in y.opens}
     sections = {u: f.sections[pre[u]] for u in y.opens}
     res = {(u, v): f.res[(pre[u], pre[v])] for u, v in y.inclusion_pairs()}
+    if f.functorial:
+        return Presheaf._functorial(y, f.category, sections, res)
     return Presheaf(y, f.category, sections, res)
 
 
@@ -246,7 +248,7 @@ def pullback(psi: ContinuousMap, g: Presheaf) -> InverseImage:
     _require_continuous(psi)
     if g.space != psi.target:
         raise NotContinuous("presheaf does not live on the map's target")
-    if not validate_presheaf(g):
+    if not g.functorial:
         raise NotASheaf("inverse image needs a functorial presheaf downstairs")
     x_space = psi.source
     germ_open = {x: minimal_open(psi.target, psi(x)) for x in x_space.points}
@@ -278,7 +280,7 @@ def sheafify(g: Presheaf) -> InverseImage:
 # -- the adjunction calculus ---------------------------------------------------
 
 def _require_sheaf(f: Presheaf) -> Presheaf:
-    if not (validate_presheaf(f) and _is_sheaf(f)):
+    if not (f.functorial and is_sheaf(f)):
         raise NotASheaf("operation needs a sheaf here")
     return f
 
@@ -292,7 +294,7 @@ def sharp(u: PsiMorphism, inv: InverseImage) -> PresheafMorphism:
     pair fails to behave like an inverse image.
     """
     f, h = _require_sheaf(u.target), inv.sheaf
-    if not validate_presheaf(h):
+    if not h.functorial:
         raise NotInverseImagePair("the pair's sheaf is not functorial")
     build = _natural_morphism if presheaves_equal(u.source, inv.source) else PresheafMorphism
     return build(h, f, _sharp(u, _Transport(inv, f, lift=True)))
@@ -425,10 +427,10 @@ def check_adjunction(psi: ContinuousMap, g: Presheaf, f: Presheaf,
     _require_sheaf(f)
     inv = pullback(psi, g)
     pushed = pushforward(psi, f)
-    # f is checked above and g by pullback; ψ*G and ψ_*F are functorial
-    # by construction
-    upstairs = _homs_into_sheaf(inv.sheaf, f, max_homs, functorial=True)
-    downstairs = _homs_into_sheaf(g, pushed, max_homs, functorial=True)
+    # f is checked above and g by pullback; ψ*G and ψ_*F are functors by
+    # construction
+    upstairs = homs_into_sheaf(inv.sheaf, f, max_homs)
+    downstairs = homs_into_sheaf(g, pushed, max_homs)
     h, min_x, min_y = inv.sheaf, psi.source.cover_steps().minimal, psi.target.cover_steps().minimal
     up_index = {_table_key(nu.components, h, min_x): n for n, nu in enumerate(upstairs)}
     down_index = {_table_key(u.components, g, min_y): n for n, u in enumerate(downstairs)}

@@ -3,7 +3,9 @@
 The construction follows the choice-function route: pick for every open
 inside the covering the least part containing it, transport restrictions
 through the cocycle, and extend the resulting basis presheaf, which
-satisfies F0 by the gluing theorem, pasted over the minimal opens.
+satisfies F0 by the gluing theorem, pasted over the minimal opens.  A part
+is a sheaf when it is a functor (``Presheaf.functorial``, decided once per
+presheaf) and passes ``is_sheaf``; nothing else is glued.
 Least-label choice replaces the axiom of choice; independence from the
 choice is verified by tests rather than assumed.
 
@@ -26,11 +28,9 @@ from .presheaf import (
     BasisPresheaf,
     Presheaf,
     PresheafMorphism,
-    _as_functor,
     _extension,
     compose_morphisms,
     composites_agree,
-    extend_from_basis,
     identity_morphism,
     is_restriction,
     is_sheaf,
@@ -158,15 +158,13 @@ def glue(d: GluingDatum, choice: Callable[[PointSet], str] | None = None) -> Glu
 
     Basis = opens inside some part; sections over a basis open are taken
     from the chosen part, restrictions transported through the cocycle;
-    the sheaf is the basis extension, pasted when every part checks
-    functorial (``_as_functor``) and scanned for otherwise.
+    the sheaf is the basis extension, pasted over the minimal opens.
     """
     report = check_cocycle(d)
     if not report.verdict:
         raise CocycleViolation(report.violations)
-    parts = {lam: _as_functor(d.parts[lam]) for lam in d.indices()}
-    for lam, part in parts.items():
-        if not is_sheaf(part):
+    for lam in d.indices():
+        if not (d.parts[lam].functorial and is_sheaf(d.parts[lam])):
             raise NotAGluing(f"part {lam!r} is not a sheaf")
     tau_fn = choice or default_choice(d)
     members = [v for v in d.space.sorted_opens()
@@ -185,11 +183,9 @@ def glue(d: GluingDatum, choice: Callable[[PointSet], str] | None = None) -> Glu
             inner = d.parts[tau[w]].restrict(v, w)
             transport = d.cocycle[(tau[v], tau[w])].components[v]
             res[(v, w)] = compose(transport, inner)
-    bp = BasisPresheaf(basis, sections, res)
-    pasted = all(part.functorial for part in parts.values())
-    ext = _extension(bp, pasted=True) if pasted else extend_from_basis(bp)
+    ext = _extension(BasisPresheaf(basis, sections, res), pasted=True)
     isos = {
-        lam: PresheafMorphism(restrict_to_open(ext.presheaf, d.covering[lam]), parts[lam], {
+        lam: PresheafMorphism(restrict_to_open(ext.presheaf, d.covering[lam]), d.parts[lam], {
             v: compose(d.cocycle[(lam, tau[v])].components[v], ext.can(v))
             for v in d.parts[lam].space.opens})
         for lam in d.indices()}
@@ -210,7 +206,7 @@ def glued_uniqueness(d: GluingDatum, candidate: GluedSheaf,
                      result: GluedSheaf | None = None) -> PresheafMorphism:
     """The unique isomorphism Φ: candidate.sheaf → glue(d).sheaf with
     ζ_λ = η_λ ∘ Φ|_{U_λ} for every part; d is glued before the invariant."""
-    if not is_sheaf(candidate.sheaf):
+    if not (candidate.sheaf.functorial and is_sheaf(candidate.sheaf)):
         raise NotAGluing("candidate is not a sheaf")
     for lam in d.indices():
         if not candidate.isos[lam].is_isomorphism():

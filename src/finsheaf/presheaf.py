@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .canon import mapping_label, open_key
@@ -68,12 +69,11 @@ from .values import (
 class Presheaf:
     """Sections per open plus restriction morphisms for every inclusion.
 
-    ``functorial`` is true only on a presheaf built by ``_functorial``,
-    whose restrictions keep the identity and composition laws by
-    construction; no check sets it.
+    ``functorial`` tells whether the restrictions keep the identity and
+    composition laws.  It is decided once, by ``validate_presheaf`` on first
+    read, and kept; a presheaf built by ``_functorial`` is a functor by
+    construction and is never checked.
     """
-
-    functorial = False
 
     def __init__(
         self,
@@ -114,6 +114,10 @@ class Presheaf:
         p.space, p.category, p.sections, p.res = space, category, sections, res
         p.functorial = True
         return p
+
+    @cached_property
+    def functorial(self) -> bool:
+        return validate_presheaf(self)
 
     def inclusion_pairs(self) -> list[tuple[PointSet, PointSet]]:
         return self.space.inclusion_pairs()
@@ -280,24 +284,17 @@ def presheaves_equal(p: Presheaf, q: Presheaf) -> bool:
     return p is q or (p.space == q.space and is_restriction(p, q, q.space.points))
 
 
-def _as_functor(p: Presheaf) -> Presheaf:
-    """``p`` flagged functorial, sharing its tables, once ``validate_presheaf``
-    passes, so an input is checked once; ``p`` itself if flagged or failing."""
-    if p.functorial or not validate_presheaf(p):
-        return p
-    return Presheaf._functorial(p.space, p.category, p.sections, p.res)
-
-
 def validate_presheaf(p: Presheaf) -> bool:
     """Identity and composition laws for the restriction morphisms, the
-    latter on the ``through`` steps and ``diamonds`` of the space."""
+    latter on the ``through`` steps and ``diamonds`` of the space.  The
+    ``through`` entry of U ⊊ V₁ ∪ V₂ is the composite through V₁, so each
+    diamond U ⋖ V₁, V₂ ⋖ V₁ ∪ V₂ compares only the one through V₂."""
     res, steps = p.res, p.space.cover_steps()
     return (all(is_identity(res[(u, u)], p.sections[u]) for u in p.space.opens)
             and all(composite_table(res[(u, v)], res[(v, w)]) == res[(u, w)].map
                     for u, v, w in steps.through)
-            and all(composite_table(res[(u, a)], res[(a, t)])
-                    == composite_table(res[(u, b)], res[(b, t)])
-                    for u, a, b, t in steps.diamonds))
+            and all(composite_table(res[(u, b)], res[(b, t)]) == res[(u, t)].map
+                    for u, _, b, t in steps.diamonds))
 
 
 @dataclass
@@ -370,14 +367,14 @@ def _check_covering(p: Presheaf | BasisPresheaf, u: PointSet, cov: Covering,
 def check_sheaf(p: Presheaf, coverings=None) -> SheafReport:
     """The gluing axiom on the maximal minimal opens inside every open.
 
-    A presheaf not built functorial is checked to be functorial first, so
-    its verdict pastes (``_is_sheaf``); only when that verdict is false are
-    the coverings checked, to name every failure with its witnesses.
+    Only a functor (``Presheaf.functorial``) is checked, and its verdict
+    pastes (``_is_sheaf``); only when that verdict is false are the
+    coverings checked, to name every failure with its witnesses.
     ``coverings`` may override the covering enumerator, which then always runs; the
     antichain and full power-set enumerations are the regression oracles
     for the cut.
     """
-    if not (p.functorial or validate_presheaf(p)):
+    if not p.functorial:
         raise ValueMismatch("presheaf fails functoriality; refusing to check the sheaf axiom")
     if coverings is None and _is_sheaf(p):
         return SheafReport(True, [])
@@ -392,19 +389,18 @@ def check_sheaf(p: Presheaf, coverings=None) -> SheafReport:
 def is_sheaf(p: Presheaf, coverings=None) -> bool:
     """Verdict-only sheaf check; used by the big oracles.
 
-    A presheaf built functorial (``Presheaf.functorial``) is decided by
-    pasting, in time linear in its tables (``_is_sheaf``).  Pasting is
-    sound only for a functor, and this check does not check functoriality:
-    any other presheaf, and any call with ``coverings``, runs G1 and G2 on
-    the coverings, with early exit.
+    A functor (``Presheaf.functorial``, decided once per presheaf) is
+    decided by pasting, in time linear in its tables (``_is_sheaf``).
+    Pasting is sound only for a functor: any other presheaf, and any call
+    with ``coverings``, runs G1 and G2 on the coverings, with early exit.
     """
-    if coverings is None:
-        return _is_sheaf(p, p.functorial)
-    return _covering_verdict(p, coverings)
+    if coverings is None and p.functorial:
+        return _is_sheaf(p)
+    return _covering_verdict(p, coverings or minimal_open_coverings)
 
 
-def _is_sheaf(p: Presheaf, functorial: bool = True) -> bool:
-    """``is_sheaf`` for a caller that knows whether p is functorial.
+def _is_sheaf(p: Presheaf) -> bool:
+    """The sheaf verdict of a functor, by pasting.
 
     A functor F is a sheaf iff F(∅) is a point and, at every pasting step
     (U, U∖E, U_x, U_x∖E) of the space, s ↦ (s|U∖E, s|U_x) is a bijection
@@ -413,8 +409,6 @@ def _is_sheaf(p: Presheaf, functorial: bool = True) -> bool:
     image in that fibre product, so the map is a bijection when it is
     injective and |F(U)| is the size of the product, counted by a hash join.
     """
-    if not functorial:
-        return _covering_verdict(p, minimal_open_coverings)
     sections, res = p.sections, p.res
     if len(sections[frozenset()]) != 1:
         return False
@@ -445,7 +439,7 @@ def check_sheaf_by_representables(p: Presheaf, probes: list[ValueObject] | None 
     exponent of all section groups; this is a recorded heuristic and
     ``check_sheaf`` stays the authoritative verdict.
     """
-    if not validate_presheaf(p):
+    if not p.functorial:
         raise ValueMismatch("presheaf fails functoriality")
     if probes is None:
         if p.category == FINSET:
@@ -476,7 +470,8 @@ def check_sheaf_by_representables(p: Presheaf, probes: list[ValueObject] | None 
                 table[mapping_label(m.map)] = mapping_label(
                     compose(p.restrict(u, v), m).map)
             hom_maps[(u, v)] = ValueMorphism(hom_objects[v], hom_objects[u], table)
-        hom_presheaf = Presheaf(p.space, FINSET, hom_objects, hom_maps)
+        # U ↦ Hom(T, F(U)) is a functor because F is
+        hom_presheaf = Presheaf._functorial(p.space, FINSET, hom_objects, hom_maps)
         if not is_sheaf(hom_presheaf):
             return False
     return True
@@ -544,6 +539,8 @@ class BasisPresheaf:
                 and first_bad_composite([(u, v) for u, v in self.basis_pairs() if u != v],
                                         self.res) is None)
 
+    functorial = cached_property(validate)  # decided on first read and kept
+
 
 def restrict_to_basis(p: Presheaf | BasisPresheaf, basis: Basis) -> BasisPresheaf:
     mem = basis.sorted_members()
@@ -560,7 +557,7 @@ def check_F0(bp: BasisPresheaf) -> SheafReport:
     Like ``check_sheaf`` it tests one covering per basis member, by the
     maximal minimal opens inside it; minimal opens lie in every basis.
     """
-    if not bp.validate():
+    if not bp.functorial:
         raise ValueMismatch("basis presheaf fails functoriality")
     basis = bp.basis
     failures: list[SheafFailure] = []
@@ -697,7 +694,7 @@ def extend_from_basis(bp: BasisPresheaf) -> BasisExtension:
     On the basis of minimal opens, each of which is the top of the basis
     opens inside it, every F′(U) is pasted rather than scanned for.
     """
-    if not bp.validate():
+    if not bp.functorial:
         raise ValueMismatch("basis presheaf fails functoriality")
     return _extension(bp, bp.basis.members == set(bp.basis.space.cover_steps().minimal))
 
@@ -812,10 +809,11 @@ class SheafDiagram:
     """A poset-indexed system of sheaves on one space.
 
     Like a ``Diagram``, it is a presheaf on its index poset: the arrow for
-    ``i < j`` runs from the sheaf at ``j`` to the sheaf at ``i``.  Each
-    sheaf is checked once (``_as_functor``).  Arrows end in sheaves, so a
-    value ``Diagram`` checks their laws at ∅ and the minimal opens; at
-    every open if a node is no sheaf, so each error is the one it was.
+    ``i < j`` runs from the sheaf at ``j`` to the sheaf at ``i``.  A node
+    is a sheaf when it is a functor (``Presheaf.functorial``, decided once)
+    and passes ``is_sheaf``.  Arrows end in sheaves, so a value ``Diagram``
+    checks their laws at ∅ and the minimal opens; at every open if a node
+    is no sheaf, so each error is the one it was.
     """
 
     index: Poset
@@ -839,8 +837,7 @@ class SheafDiagram:
         if not spaces:
             return
         space = next(iter(spaces))
-        self.sheaves = {i: _as_functor(s) for i, s in self.sheaves.items()}
-        sheaf = {i: is_sheaf(s) for i, s in self.sheaves.items()}
+        sheaf = {i: s.functorial and is_sheaf(s) for i, s in self.sheaves.items()}
         opens = ([frozenset(), *space.cover_steps().minimal] if all(sheaf.values())
                  else space.sorted_opens())
         for u in opens:
@@ -863,10 +860,9 @@ class SheafLimit:
 def limit_of_sheaves(d: SheafDiagram) -> SheafLimit:
     """Open-wise projective limit; the result is again a sheaf.
 
-    For functorial nodes the value limit is taken at ∅ and the minimal
-    opens only; every other open is pasted, each s_i glued from its two
-    restrictions by F_i's pasting bijection, into a scan's lex order.
-    Other nodes keep the scan and a restriction tupled at every inclusion.
+    The value limit is taken at ∅ and the minimal opens only; every other
+    open is pasted, each s_i glued from its two restrictions by F_i's
+    pasting bijection (the nodes are sheaves), into a scan's lex order.
     """
     space = next(iter(d.sheaves.values())).space if d.sheaves else None
     if space is None:
@@ -874,15 +870,14 @@ def limit_of_sheaves(d: SheafDiagram) -> SheafLimit:
     category = next(iter(d.sheaves.values())).category
     idx, pairs, sheaves = list(d.index.elements), d.index.pairs_below(), d.sheaves
     opens = space.sorted_opens()
+    nodes = [sheaves[i] for i in idx]
 
     def value_limit(u: PointSet) -> list[tuple[str, ...]]:  # tuples over idx, lex order
         return [tuple(fam.values()) for fam in limit_families(
             {i: sheaves[i].sections[u] for i in idx},
             {p: d.arrows[p].components[u] for p in pairs}, idx).values()]
-    functorial, nodes = all(s.functorial for s in sheaves.values()), [sheaves[i] for i in idx]
-    rows = {u: value_limit(u) for u in ([frozenset(), *space.cover_steps().minimal]
-                                         if functorial else opens)}
-    for u, rest, top, overlap in space.pasting_steps() if functorial else ():
+    rows = {u: value_limit(u) for u in [frozenset(), *space.cover_steps().minimal]}
+    for u, rest, top, overlap in space.pasting_steps():
         # L(U) = L(U∖E) ×_{L(U_x∖E)} L(U_x), and each s_i is glued from its two restrictions
         glued = [{(f.res[(rest, u)].map[s], f.res[(top, u)].map[s]): s
                   for s in f.sections[u].elements} for f in nodes]
@@ -902,9 +897,7 @@ def limit_of_sheaves(d: SheafDiagram) -> SheafLimit:
         return tupling(sections[v], sections[u], {
             i: {label: sheaves[i].res[(u, v)].map[fam[i]] for label, fam in families[v].items()}
             for i in idx})
-    out = (_functor_on_steps(space, category, sections, restriction) if functorial else
-           Presheaf(space, category, sections,
-                    {(u, v): restriction(u, v) for u, v in space.inclusion_pairs()}))
+    out = _functor_on_steps(space, category, sections, restriction)
     projections = {i: PresheafMorphism._closed(out, sheaves[i], {
         u: ValueMorphism._closed(sections[u], sheaves[i].sections[u],
                                  {label: fam[i] for label, fam in families[u].items()})
@@ -1009,16 +1002,10 @@ def homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int = 10 ** 6) -> list[P
     natural along their cover steps U_x ⋖ U_y.  Those are the positions; the
     component at any other open W lifts the family of its restrictions to
     W's minimal covering, which glues uniquely in f.  The work cap counts as
-    in ``_natural_components``.
+    in ``_natural_components``.  When p and f are functors every morphism
+    it lifts is natural and built from the endpoints' own section objects,
+    and nothing is checked again.
     """
-    return _homs_into_sheaf(p, f, max_homs, validate_presheaf(p) and validate_presheaf(f))
-
-
-def _homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int,
-                     functorial: bool) -> list[PresheafMorphism]:
-    """``homs_into_sheaf`` for a caller that knows whether p and f are
-    functorial.  If they are, every morphism it lifts is natural and built
-    from the endpoints' own section objects, and nothing is checked again."""
     space = p.space
     if space != f.space:
         raise ValueMismatch("presheaves live on different spaces")
@@ -1031,7 +1018,7 @@ def _homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int,
     positions = set(minimal)
     lifts = cover_lifts(f, [w for w in opens if w not in positions])
     legs = {w: [p.restrict(m, w) for m in parts] for w, (parts, _) in lifts.items()}
-    build = PresheafMorphism._closed if functorial else PresheafMorphism
+    build = PresheafMorphism._closed if p.functorial and f.functorial else PresheafMorphism
     rank = {w: {t: n for n, t in enumerate(f.sections[w].elements)} for w in opens}
     found = []
     for comps in _natural_components(p, f, minimal, squares, max_homs):
@@ -1053,7 +1040,7 @@ def _homs_into_sheaf(p: Presheaf, f: Presheaf, max_homs: int,
 
 def is_constant_presheaf(p: Presheaf) -> bool:
     """Restrictions from the whole space to nonempty opens are all bijective."""
-    if not validate_presheaf(p):
+    if not p.functorial:
         raise ValueMismatch("presheaf fails functoriality")
     total = p.space.points
     return all(

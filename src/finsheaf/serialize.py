@@ -21,8 +21,7 @@ from typing import Any, Callable, TypeVar
 from .canon import Rows, materialize, open_key, write_canonical
 from .errors import CrossReferenceError, ParseError
 from .gluing import GluingDatum
-from .presheaf import (BasisPresheaf, Presheaf, PresheafMorphism, SheafDiagram, _as_functor,
-                       restrict_to_open)
+from .presheaf import BasisPresheaf, Presheaf, PresheafMorphism, SheafDiagram, restrict_to_open
 from .topology import Basis, ContinuousMap, FiniteSpace, PointSet, space_from_generators, subspace
 from .values import (
     FINAB,
@@ -360,11 +359,10 @@ def gluing_from_payload(payload: dict, base_dir: str = ".") -> GluingDatum:
         for lam, doc in _table(payload["parts"], "parts").items():
             local = dict(_table(doc, f"part {lam!r}"))
             local["schema"] = PRESHEAF_SCHEMA
-            part = presheaf_from_payload(local, base_dir, loaded=loaded,
-                                         space=subspace(space, covering[lam]))
-            if isinstance(part, BasisPresheaf):
+            parts[lam] = presheaf_from_payload(local, base_dir, loaded=loaded,
+                                               space=subspace(space, covering[lam]))
+            if isinstance(parts[lam], BasisPresheaf):
                 raise ParseError("gluing parts must be full presheaves")
-            parts[lam] = _as_functor(part)  # checked once, so the cocycle checks cover steps
         cocycle: dict[tuple[str, str], PresheafMorphism] = {}
         for lam, row in _table(payload.get("cocycle", {}), "cocycle").items():
             for mu, tables in _table(row, f"cocycle row {lam!r}").items():
@@ -405,10 +403,9 @@ def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
             [tuple(_labels(p, "an index relation")) for p in index.get("le", [])])
         sheaves = {}
         for i in poset.elements:
-            p = presheaf_from_payload(payload["sheaves"][i], base_dir, loaded=loaded)
-            if isinstance(p, BasisPresheaf):
+            sheaves[i] = presheaf_from_payload(payload["sheaves"][i], base_dir, loaded=loaded)
+            if isinstance(sheaves[i], BasisPresheaf):
                 raise ParseError("diagram nodes must be full presheaves")
-            sheaves[i] = _as_functor(p)  # checked once, so the arrows check cover steps
         arrows = {}
         for (i, j) in poset.pairs_below():
             row = _table(payload["arrows"], "arrows").get(i, {})

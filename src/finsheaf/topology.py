@@ -466,7 +466,7 @@ def minimal_open_coverings(space: FiniteSpace, u: Iterable[str]) -> list[Coverin
     empty set it is the empty covering, which forces terminal sections.
     Verdicts are tested against the antichain and full enumerations.
 
-    On a presheaf known to be functorial, ``is_sheaf`` and ``check_sheaf``
+    On a functor (``Presheaf.functorial``), ``is_sheaf`` and ``check_sheaf``
     reach the same verdict by ``FiniteSpace.pasting_steps`` instead, one
     hash join per open; passed as ``coverings=``, this enumerator runs G1
     and G2 on its covering of every open.

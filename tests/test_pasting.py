@@ -6,8 +6,8 @@ pasting step (U, U∖E, U_x, U_x∖E) of ``FiniteSpace.pasting_steps``,
 F(U) → F(U∖E) ×_{F(U_x∖E)} F(U_x) is a bijection.  The verdict is compared
 with G1 and G2 on the minimal-open coverings, on every antichain covering
 and on every covering; ``check_sheaf`` reports failures exactly as the
-covering check does.  Presheaves not built functorial keep the covering
-check, whatever their tables.
+covering check does.  Presheaves that are not functors keep the covering
+check.
 
 Limits over the minimal opens are pasted the same way.  The product scan
 they replaced, ``values.compatible_families`` behind the references of
@@ -52,7 +52,8 @@ from finsheaf.topology import (
 from finsheaf.values import Poset, compatible_families as scan, finset
 
 from test_homs import minimal_basis
-from test_laws import assert_extension_matches, assert_pullback_matches, mutants
+from test_laws import (assert_extension_matches, assert_pullback_matches, functorial_reference,
+                       mutants)
 from test_properties import linearized, random_presheaf
 
 UP_TO_THREE_POINTS = [space for n in range(4)
@@ -120,15 +121,17 @@ def test_pasting_verdict_matches_the_covering_check_on_four_and_five_points(spac
 
 def test_unflagged_mutants_keep_the_covering_verdict():
     """Every single-entry mutant of every presheaf on at most two points,
-    built unchecked and not functorial by construction: ``is_sheaf`` is the
-    covering check's verdict, although most mutants are not functors."""
+    built unchecked: its ``functorial`` flag, decided on first read, is the
+    scan over every triple's verdict, and ``is_sheaf`` is the covering
+    check's verdict, pasted on the mutants that are functors and checked
+    on the coverings for the others."""
     verdicts = []
     for space in UP_TO_THREE_POINTS:
         if len(space.points) > 2:
             continue
         for p in enumerate_presheaves(space, max_size=2):
             for q in mutants(p):
-                assert not q.functorial
+                assert q.functorial == functorial_reference(q, q.space.sorted_opens())
                 verdicts.append(is_sheaf(q))
                 assert verdicts[-1] == is_sheaf(q, coverings=minimal_open_coverings)
     assert len(verdicts) == 3704

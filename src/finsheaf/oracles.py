@@ -94,6 +94,7 @@ class _SharedTables:
     def __init__(self, max_size: int):
         self.objects = {k: ValueObject(FINSET, _LABELS[:k]) for k in range(max_size + 1)}
         self._morphisms: dict = {}
+        self._composites: dict[tuple[int, int], ValueMorphism] = {}
 
     def morphism(self, src: int, tgt: int, table: tuple) -> ValueMorphism:
         key = (src, tgt, table)
@@ -101,6 +102,18 @@ class _SharedTables:
         if got is None:
             got = ValueMorphism(self.objects[src], self.objects[tgt], dict(table))
             self._morphisms[key] = got
+        return got
+
+    def composite(self, f: ValueMorphism, g: ValueMorphism) -> ValueMorphism:
+        """f ∘ g for interned maps, built once.  Keyed by identity, which is
+        safe because every interned map lives as long as the tables."""
+        key = (id(f), id(g))
+        got = self._composites.get(key)
+        if got is None:
+            src = len(g.map)
+            got = self.morphism(src, len(f.target.elements),
+                                tuple((a, f.map[g.map[a]]) for a in _LABELS[:src]))
+            self._composites[key] = got
         return got
 
     def all_maps(self, src: int, tgt: int) -> list[ValueMorphism]:
@@ -134,9 +147,16 @@ def _functors(members: Iterable[PointSet], max_size: int,
               min_size: int) -> Iterator[tuple[dict, dict]]:
     """Every FinSet functor on ``members`` ordered by inclusion, as tables.
 
-    Functors are built top-down: maps are chosen on the covering relations
-    of the inclusion order and composites are checked for path
-    independence, so each functor comes out exactly once.
+    Functors are built top-down, one member u at a time, larger members
+    first.  For each size of F(u), the maps into F(u) from its parents (the
+    members that cover u) are bound one parent at a time, in the order of
+    the full product of their map sets.  A parent v's map f fixes
+    res(u, w) = f ∘ res(v, w) on every w ⊇ v; a partial choice is dropped
+    as soon as two parents fix different maps on a shared w, so only
+    path-independent choices are extended and each functor comes out
+    exactly once, in the order of that product.  Every map is interned, so
+    agreement is identity, and each composite f ∘ res(v, w) is built once
+    per call and then looked up.
     """
     shared = _SharedTables(max_size)
     opens = sorted(members, key=lambda u: (-len(u), tuple(sorted(u))))
@@ -164,38 +184,31 @@ def _functors(members: Iterable[PointSet], max_size: int,
             return
         u = opens[i]
         for size in sizes:
-            par = parents[u]
-            for combo in product(*[shared.all_maps(size_of[v], size) for v in par]):
-                new_res = {}
-                ok = True
-                for w in supersets[u]:
-                    derived = None
-                    for v, f in zip(par, combo):
-                        if not v <= w:
-                            continue
-                        if v == w:
-                            cand = f
-                        else:
-                            inner = res[(v, w)]
-                            cand = shared.morphism(
-                                size_of[w], size,
-                                tuple((a, f.map[inner.map[a]])
-                                      for a in _LABELS[:size_of[w]]))
-                        if derived is None:
-                            derived = cand
-                        elif derived is not cand:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    new_res[(u, w)] = derived
-                if not ok:
-                    continue
-                size_of[u] = size
-                res.update(new_res)
-                yield from rec(i + 1)
-                for k in new_res:
-                    del res[k]
-                del size_of[u]
+            size_of[u] = size
+            yield from bind(i, 0, {})
+
+    def bind(i: int, j: int, derived: dict):
+        """Extend ``derived``, the maps res(u, w) fixed by the first j
+        parents of u = opens[i], by every map from the next parent."""
+        u = opens[i]
+        par = parents[u]
+        if j == len(par):
+            for w in supersets[u]:
+                res[(u, w)] = derived[w]
+            yield from rec(i + 1)
+            for w in supersets[u]:
+                del res[(u, w)]
+            return
+        v = par[j]
+        above = [res[(v, w)] for w in supersets[v]]
+        for f in shared.all_maps(size_of[v], size_of[u]):
+            fixed = dict(derived)
+            fixed[v] = f
+            for w, inner in zip(supersets[v], above):
+                g = shared.composite(f, inner)
+                if fixed.setdefault(w, g) is not g:
+                    break
+            else:
+                yield from bind(i, j + 1, fixed)
 
     yield from rec(0)

@@ -81,15 +81,12 @@ class Presheaf:
         category: str,
         sections: Mapping[PointSet, ValueObject],
         res: Mapping[tuple[PointSet, PointSet], ValueMorphism],
-        validate: bool = True,
     ):
         self.space = space
         self.category = category
         self.sections = dict(sections)
         # keyed (smaller, larger): res[(U, V)] maps sections(V) -> sections(U)
         self.res = dict(res)
-        if not validate:
-            return
         for u in space.sorted_opens():
             if u not in self.sections:
                 raise ValueMismatch(f"no sections over {open_key(u)!r}")

@@ -55,11 +55,12 @@ def space_to_payload(space: FiniteSpace) -> dict:
 
 def space_from_payload(payload: dict) -> FiniteSpace:
     try:
-        points = payload["points"]
+        points = _array(payload["points"], "points")
         if "opens" in payload:
-            return FiniteSpace(points, payload["opens"])
+            return FiniteSpace(points, _arrays(payload["opens"], "opens", "an open"))
         if "basis" in payload:
-            return space_from_generators(points, payload["basis"])
+            return space_from_generators(
+                points, _arrays(payload["basis"], "basis", "a basis member"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad space payload: {exc}") from exc
     raise ParseError("space payload needs 'opens' or 'basis'")
@@ -78,6 +79,20 @@ def _labels(labels, what: str = "element labels") -> list[str]:
     if not (isinstance(labels, list) and all(isinstance(a, str) for a in labels)):
         raise ParseError(f"{what} must be an array of strings, got {labels!r}")
     return labels
+
+
+def _array(value, what: str) -> list:
+    """``value`` if it is a JSON array; its members are checked by their reader."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def _arrays(value, what: str, member: str) -> list:
+    """``value`` if it is a JSON array of arrays."""
+    for m in _array(value, what):
+        _array(m, member)
+    return value
 
 
 def _table(value, what: str) -> dict:
@@ -402,10 +417,16 @@ def diagram_from_payload(payload: dict, base_dir: str = ".") -> SheafDiagram:
             _labels(index["elements"], "index elements"),
             [tuple(_labels(p, "an index relation")) for p in index.get("le", [])])
         sheaves = {}
+        distinct: list[tuple[dict, Presheaf]] = []
         for i in poset.elements:
-            sheaves[i] = presheaf_from_payload(payload["sheaves"][i], base_dir, loaded=loaded)
-            if isinstance(sheaves[i], BasisPresheaf):
-                raise ParseError("diagram nodes must be full presheaves")
+            # a node equal to an earlier one loads to an equal presheaf: share it
+            doc = payload["sheaves"][i]
+            sheaves[i] = next((p for d, p in distinct if d == doc), None)
+            if sheaves[i] is None:
+                sheaves[i] = presheaf_from_payload(doc, base_dir, loaded=loaded)
+                if isinstance(sheaves[i], BasisPresheaf):
+                    raise ParseError("diagram nodes must be full presheaves")
+                distinct.append((doc, sheaves[i]))
         arrows = {}
         for (i, j) in poset.pairs_below():
             row = _table(payload["arrows"], "arrows").get(i, {})

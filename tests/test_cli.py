@@ -541,8 +541,9 @@ Z2_RESTRICTION = ("restrictions", "0,1", "1")
 
 
 class TestTableShapes:
-    """Tables the file format does not define: each once loaded as if it were
-    the table it spells, and now exits 2 with a ``ParseError`` naming it."""
+    """Tables and arrays the file format does not define: each once loaded as
+    if it were the table or array it spells, and now exits 2 with a
+    ``ParseError`` naming it."""
 
     SHAPES = {
         "restriction as strings": (
@@ -563,6 +564,27 @@ class TestTableShapes:
             "add table entry must be an array of three strings"),
         "assignment as pairs": (
             "pc4_to_sierp.map.json", ("assignment",), as_pairs, "assignment must be a table"),
+        "space points as an object": (
+            "sierp_sheaf.presheaf.json", ("space", "points"), lambda points: dict.fromkeys(points, 0),
+            "points must be an array, got {'0': 0, '1': 0}"),
+        "space points and opens as strings": (
+            "sierp_sheaf.presheaf.json", ("space",),
+            lambda space: {"points": "01", "opens": [[], "1", "01"]},
+            "points must be an array, got '01'"),
+        "space opens as strings": (
+            "sierp_sheaf.presheaf.json", ("space", "opens"), lambda opens: ["".join(u) for u in opens],
+            "an open must be an array, got ''"),
+        "space basis member as a string": (
+            "sierp_sheaf.presheaf.json", ("space",),
+            lambda space: {"points": space["points"], "basis": [["1"], "01"]},
+            "a basis member must be an array, got '01'"),
+        "map source points as an object": (
+            "pc4_to_sierp.map.json", ("source", "points"), lambda points: dict.fromkeys(points, 0),
+            "points must be an array, got {'a': 0, 'b': 0, 'x': 0, 'y': 0}"),
+        "map source points and opens as strings": (
+            "pc4_to_sierp.map.json", ("source",),
+            lambda source: {"points": "abxy", "opens": ["".join(u) for u in source["opens"]]},
+            "points must be an array, got 'abxy'"),
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -161,7 +161,7 @@ def mutants(p: Presheaf):
                 if b != r.map[a]:
                     res = dict(p.res)
                     res[(u, v)] = ValueMorphism(r.source, r.target, {**r.map, a: b})
-                    yield Presheaf(p.space, p.category, p.sections, res, validate=False)
+                    yield Presheaf(p.space, p.category, p.sections, res)
 
 
 def assert_functor_checks_agree(p: Presheaf) -> bool:

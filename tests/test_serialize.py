@@ -157,6 +157,16 @@ class TestMapAndGluingRoundTrip:
         assert set(d.index.elements) == {"L", "R"}
         assert canonical_json(ser.diagram_to_payload(d)) == canonical_json(doc)
 
+    def test_diagram_nodes_with_equal_payloads_load_once(self):
+        doc = ser.load_json(os.path.join(FIXTURES, "sierp_pair.diagram.json"))
+        assert doc["sheaves"]["L"] == doc["sheaves"]["R"]
+        d = ser.diagram_from_payload(doc, FIXTURES)
+        assert d.sheaves["L"] is d.sheaves["R"]
+        doc["sheaves"]["R"] = dict(doc["sheaves"]["R"], note="a key the loader ignores")
+        d = ser.diagram_from_payload(doc, FIXTURES)
+        assert d.sheaves["L"] is not d.sheaves["R"]
+        assert presheaves_equal(d.sheaves["L"], d.sheaves["R"])
+
 
 class TestFixtureRegeneration:
     def test_make_fixtures_rewrites_shipped_files_byte_for_byte(self, tmp_path, monkeypatch):

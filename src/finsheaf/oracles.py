@@ -156,11 +156,16 @@ def _functors(members: Iterable[PointSet], max_size: int,
     path-independent choices are extended and each functor comes out
     exactly once, in the order of that product.  Every map is interned, so
     agreement is identity, and each composite f ∘ res(v, w) is built once
-    per call and then looked up.
+    per call and then looked up.  So is each identity map: one per section
+    size, built before the search, so that a yield costs one lookup per open
+    for its section object and one for its res(u, u), and one dict update.
     """
     shared = _SharedTables(max_size)
     opens = sorted(members, key=lambda u: (-len(u), tuple(sorted(u))))
     n = len(opens)
+    diagonal = [(u, u) for u in opens]
+    identities = [shared.morphism(k, k, tuple((a, a) for a in _LABELS[:k]))
+                  for k in range(max_size + 1)]
     supersets = {u: [v for v in opens if u < v] for u in opens}
     parents = {
         u: [v for v in supersets[u]
@@ -174,13 +179,10 @@ def _functors(members: Iterable[PointSet], max_size: int,
 
     def rec(i: int):
         if i == n:
-            sections = {u: shared.objects[size_of[u]] for u in opens}
+            at = size_of.values()  # in the order of opens, each first set in its turn
             full = dict(res)
-            for u in opens:
-                full[(u, u)] = shared.morphism(
-                    size_of[u], size_of[u],
-                    tuple((a, a) for a in _LABELS[:size_of[u]]))
-            yield sections, full
+            full.update(zip(diagonal, map(identities.__getitem__, at)))
+            yield dict(zip(opens, map(shared.objects.__getitem__, at))), full
             return
         u = opens[i]
         for size in sizes:

@@ -212,7 +212,7 @@ def _resolve_space(payload, base_dir: str) -> FiniteSpace:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CrossReferenceError(f"cannot resolve space reference {payload!r}: {exc}")
         return space_from_payload(doc)
     if isinstance(payload, dict):
@@ -450,10 +450,14 @@ def load_file(path: str, reader: Callable[[dict, str], T]) -> T:
 
 
 def load_json(path: str) -> dict:
+    """The JSON document at ``path``.  Unreadable bytes raise ``ParseError``:
+    not UTF-8 or not JSON (both ``ValueError``), an integer over the
+    interpreter's digit limit (``ValueError``), or nesting past the recursion
+    limit (``RecursionError``)."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
 
 

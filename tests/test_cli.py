@@ -214,6 +214,42 @@ class TestUnwritableOut:
         assert err["message"].startswith(f"cannot write {out!r}: ")
 
 
+class TestUnreadableBytes:
+    """Bytes that ``json.load`` cannot turn into a document exit 2 with one
+    JSON error naming the file, whether they are the presheaf file itself or
+    a space file it references."""
+
+    CORRUPTIONS = {
+        "not UTF-8": b'{"schema": "\xff\xfe"}',
+        "nested past the recursion limit": b"[" * 100_000 + b"]" * 100_000,
+        "an integer over the digit limit": b'{"points": ' + b"1" * 5000 + b"}",
+    }
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("where", ["presheaf file", "space file"])
+    def test_exit_2_with_the_file_named(self, corruption, where, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(self.CORRUPTIONS[corruption])
+        presheaf = bad
+        if where == "space file":
+            presheaf = tmp_path / "refers.presheaf.json"
+            presheaf.write_text(json.dumps({
+                "schema": "finsheaf.presheaf/1", "category": "FinSet",
+                "space": "bad.json", "sections": {}}), encoding="utf-8")
+        code = main(["check-sheaf", "--presheaf", str(presheaf)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)
+        if where == "space file":
+            assert err["error"] == "CrossReferenceError"
+            assert err["message"].startswith("cannot resolve space reference 'bad.json': ")
+        else:
+            assert err["error"] == "ParseError"
+            assert err["message"].startswith(f"cannot read {str(bad)!r}: ")
+
+
 class TestSpaceByGenerators:
     def test_subbasis_loads_as_the_generated_space(self, tmp_path, capsys):
         """{a,b} and {a,c} are no basis of the space they generate, whose

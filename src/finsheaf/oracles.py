@@ -2,9 +2,13 @@
 
 Everything here exists to drive brute-force cross-checks on tiny
 instances: all labeled topologies on a few points, and all presheaves
-with bounded section sets over such a space or over a basis of it.  The
-enumerators share value objects and morphisms aggressively; at three
-points the presheaf count already reaches the hundreds of thousands.
+with bounded section sets over such a space or over a basis of it.  At
+three points the presheaf count already reaches the hundreds of
+thousands, so the presheaf enumerator shares its value objects and maps:
+each map between section sizes is interned once per call, both as a
+``ValueMorphism`` and as a small int that indexes a composition table,
+and the backtracking search over restrictions compares and composes ints
+only (see ``_functors``).  Section sizes run from 0 to 4, one per label.
 
 Topologies come in a fixed order (see ``enumerate_topologies``), which the
 sweep benchmark's seeded draw depends on, and cost one ``FiniteSpace``
@@ -94,7 +98,6 @@ class _SharedTables:
     def __init__(self, max_size: int):
         self.objects = {k: ValueObject(FINSET, _LABELS[:k]) for k in range(max_size + 1)}
         self._morphisms: dict = {}
-        self._composites: dict[tuple[int, int], ValueMorphism] = {}
 
     def morphism(self, src: int, tgt: int, table: tuple) -> ValueMorphism:
         key = (src, tgt, table)
@@ -102,18 +105,6 @@ class _SharedTables:
         if got is None:
             got = ValueMorphism(self.objects[src], self.objects[tgt], dict(table))
             self._morphisms[key] = got
-        return got
-
-    def composite(self, f: ValueMorphism, g: ValueMorphism) -> ValueMorphism:
-        """f ∘ g for interned maps, built once.  Keyed by identity, which is
-        safe because every interned map lives as long as the tables."""
-        key = (id(f), id(g))
-        got = self._composites.get(key)
-        if got is None:
-            src = len(g.map)
-            got = self.morphism(src, len(f.target.elements),
-                                tuple((a, f.map[g.map[a]]) for a in _LABELS[:src]))
-            self._composites[key] = got
         return got
 
     def all_maps(self, src: int, tgt: int) -> list[ValueMorphism]:
@@ -127,10 +118,41 @@ class _SharedTables:
             self._morphisms[key] = got
         return got
 
+    def int_maps(self, sizes: range) -> tuple[list, dict, list]:
+        """Every map between two of ``sizes`` as a small int.
+
+        Returns ``morphisms``, the interned ``ValueMorphism`` of each int;
+        ``maps``, the ints from ``src`` to ``tgt`` in ``all_maps`` order,
+        keyed ``(src, tgt)``; and ``after``, the composition table:
+        ``after[f][g]`` is the int of f ∘ g wherever g's target is f's
+        source, and -1 elsewhere.
+        """
+        morphisms: list[ValueMorphism] = []
+        images: list[tuple[int, ...]] = []
+        maps: dict[tuple[int, int], list[int]] = {}
+        index: dict[tuple[int, int, tuple], int] = {}
+        for src in sizes:
+            for tgt in sizes:
+                ids = maps[(src, tgt)] = []
+                for m, img in zip(self.all_maps(src, tgt), product(range(tgt), repeat=src)):
+                    index[(src, tgt, img)] = len(morphisms)
+                    ids.append(len(morphisms))
+                    morphisms.append(m)
+                    images.append(img)
+        after = [[-1] * len(morphisms) for _ in morphisms]
+        for (mid, tgt), fs in maps.items():
+            for f in fs:
+                row, image = after[f], images[f]
+                for src in sizes:
+                    for g in maps[(src, mid)]:
+                        row[g] = index[(src, tgt, tuple(image[a] for a in images[g]))]
+        return morphisms, maps, after
+
 
 def enumerate_presheaves(space: FiniteSpace, max_size: int = 2,
                          min_size: int = 0) -> Iterator[Presheaf]:
-    """Every FinSet presheaf on the space with |F(U)| between the bounds."""
+    """Every FinSet presheaf on the space with |F(U)| between the bounds,
+    which must lie in 0..4 (``ValueError`` otherwise)."""
     for sections, res in _functors(space.opens, max_size, min_size):
         # path independence yields functors only, so nothing is re-validated
         yield Presheaf._functorial(space, FINSET, sections, res)
@@ -138,29 +160,40 @@ def enumerate_presheaves(space: FiniteSpace, max_size: int = 2,
 
 def enumerate_basis_presheaves(basis: Basis, max_size: int = 2,
                                min_size: int = 0) -> Iterator[BasisPresheaf]:
-    """Every FinSet presheaf on the basis members with |F(B)| between the bounds."""
+    """Every FinSet presheaf on the basis members with |F(B)| between the
+    bounds, which must lie in 0..4 (``ValueError`` otherwise)."""
     for sections, res in _functors(basis.members, max_size, min_size):
-        yield BasisPresheaf(basis, sections, res)
+        yield BasisPresheaf._functorial(basis, FINSET, sections, res)
 
 
 def _functors(members: Iterable[PointSet], max_size: int,
               min_size: int) -> Iterator[tuple[dict, dict]]:
     """Every FinSet functor on ``members`` ordered by inclusion, as tables.
 
-    Functors are built top-down, one member u at a time, larger members
-    first.  For each size of F(u), the maps into F(u) from its parents (the
-    members that cover u) are bound one parent at a time, in the order of
-    the full product of their map sets.  A parent v's map f fixes
-    res(u, w) = f ∘ res(v, w) on every w ⊇ v; a partial choice is dropped
-    as soon as two parents fix different maps on a shared w, so only
-    path-independent choices are extended and each functor comes out
-    exactly once, in the order of that product.  Every map is interned, so
-    agreement is identity, and each composite f ∘ res(v, w) is built once
-    per call and then looked up.  So is each identity map: one per section
-    size, built before the search, so that a yield costs one lookup per open
-    for its section object and one for its res(u, u), and one dict update.
+    Functors are built top-down by backtracking, one member u at a time,
+    larger members first.  For each size of F(u), the maps into F(u) from
+    its parents (the members that cover u) are bound one parent at a time,
+    in the order of the full product of their map sets.  A parent v's map f
+    fixes res(u, w) = f ∘ res(v, w) on every w ⊇ v; a partial choice is
+    dropped as soon as two parents fix different maps on a shared w, so
+    only path-independent choices are extended and each functor comes out
+    exactly once, in the order of that product.
+
+    Every map between the allowed sizes is a small int (``int_maps``), so
+    agreement is int equality and each composite f ∘ res(v, w) is one read
+    from a composition table built once per call.  When u's last parent is
+    bound, u's restrictions are committed, as ints for the composites of
+    the members below and as their interned ``ValueMorphism``s for the
+    yields; the latter are removed again when the search backs out of u.
+    A yield copies those, adds one interned identity per member and picks
+    one interned section object per member, by its size.
     """
+    if min_size < 0 or max_size > len(_LABELS):
+        raise ValueError(f"section sizes must lie in 0..{len(_LABELS)}; "
+                         f"got min_size={min_size}, max_size={max_size}")
     shared = _SharedTables(max_size)
+    sizes = range(min_size, max_size + 1)
+    morphisms, maps, after = shared.int_maps(sizes)
     opens = sorted(members, key=lambda u: (-len(u), tuple(sorted(u))))
     n = len(opens)
     diagonal = [(u, u) for u in opens]
@@ -172,9 +205,9 @@ def _functors(members: Iterable[PointSet], max_size: int,
             if not any(u < w < v for w in supersets[u])]
         for u in opens
     }
-    sizes = range(min_size, max_size + 1)
 
     size_of: dict[PointSet, int] = {}
+    ints: dict[tuple[PointSet, PointSet], int] = {}
     res: dict[tuple[PointSet, PointSet], ValueMorphism] = {}
 
     def rec(i: int):
@@ -196,19 +229,21 @@ def _functors(members: Iterable[PointSet], max_size: int,
         par = parents[u]
         if j == len(par):
             for w in supersets[u]:
-                res[(u, w)] = derived[w]
+                g = ints[(u, w)] = derived[w]
+                res[(u, w)] = morphisms[g]
             yield from rec(i + 1)
             for w in supersets[u]:
                 del res[(u, w)]
             return
         v = par[j]
-        above = [res[(v, w)] for w in supersets[v]]
-        for f in shared.all_maps(size_of[v], size_of[u]):
+        above = [ints[(v, w)] for w in supersets[v]]
+        for f in maps[(size_of[v], size_of[u])]:
             fixed = dict(derived)
             fixed[v] = f
+            row = after[f]
             for w, inner in zip(supersets[v], above):
-                g = shared.composite(f, inner)
-                if fixed.setdefault(w, g) is not g:
+                g = row[inner]
+                if fixed.setdefault(w, g) != g:
                     break
             else:
                 yield from bind(i, j + 1, fixed)

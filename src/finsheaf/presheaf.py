@@ -524,6 +524,17 @@ class BasisPresheaf:
             if r.source != self.sections[v] or r.target != self.sections[u]:
                 raise ValueMismatch("basis restriction connects wrong objects")
 
+    @classmethod
+    def _functorial(cls, basis: Basis, category: str,
+                    sections: dict[PointSet, ValueObject],
+                    res: dict[tuple[PointSet, PointSet], ValueMorphism]) -> BasisPresheaf:
+        """The basis presheaf with these tables, built by a construction that
+        yields a functor on the basis members: nothing is checked."""
+        bp = cls.__new__(cls)
+        bp.basis, bp.category, bp.sections, bp.res = basis, category, sections, res
+        bp.functorial = True
+        return bp
+
     def basis_pairs(self) -> list[tuple[PointSet, PointSet]]:
         mem = self.basis.sorted_members()
         return [(u, v) for u in mem for v in mem if u <= v]

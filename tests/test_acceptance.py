@@ -58,6 +58,7 @@ from finsheaf.topology import (
     identity_map,
     is_irreducible,
     minimal_open,
+    minimal_open_coverings,
 )
 from finsheaf.values import ValueMorphism, compose, cyclic_group, finset, identity
 
@@ -102,10 +103,11 @@ def finab_fixture_pool():
 
 class TestCriterion01:
     def test_antichain_equals_full_enumeration(self):
-        """All topologies on <= 3 points, all FinSet presheaves with
-        section sets of size <= 2: the default check on the maximal minimal
-        opens, all antichain coverings and all coverings give one verdict;
-        expected < 60 s."""
+        """All topologies on <= 3 points, non-T0 ones included, all FinSet
+        presheaves with section sets of size <= 2, each built functorial:
+        the default (pasted) verdict, the covering check on the minimal
+        opens, on all antichain coverings and on all coverings give one
+        verdict; expected < 60 s."""
         spaces = []
         for n in (0, 1, 2, 3):
             spaces += enumerate_topologies([str(i) for i in range(1, n + 1)])
@@ -117,12 +119,15 @@ class TestCriterion01:
             anti_fn = lambda space, u: anti[u]
             full_fn = lambda space, u: full[u]
             for p in enumerate_presheaves(sp, max_size=2):
-                total += 1
-                verdict = is_sheaf(p, coverings=full_fn)
+                assert p.functorial
+                verdict = is_sheaf(p)
+                assert is_sheaf(p, coverings=minimal_open_coverings) == verdict
                 assert is_sheaf(p, coverings=anti_fn) == verdict
-                assert is_sheaf(p) == verdict
+                assert is_sheaf(p, coverings=full_fn) == verdict
+                total += 1
                 sheaves += verdict
         assert total > 300000
+        assert (total, sheaves) == (302027, 1067)
         report(1, f"minimal-open verdict = antichain verdict = full verdict "
                   f"on {total} presheaves, {sheaves} of them sheaves")
 

@@ -190,6 +190,49 @@ def test_composites_are_looked_up_not_rebuilt(monkeypatch):
     assert calls <= 100
 
 
+(EMPTY_SPACE,) = enumerate_topologies([])
+(ONE_POINT,) = enumerate_topologies(["1"])
+
+
+def test_same_functors_in_the_same_order_on_the_empty_space():
+    """Three presheaves, one per size of F(∅), and the one empty basis
+    presheaf on the empty basis."""
+    assert assert_same_as_reference(EMPTY_SPACE) == 4
+
+
+@pytest.mark.parametrize("max_size, min_size, count", [(4, 0, 499 + 5), (2, 2, 4 + 1),
+                                                       (4, 4, 256 + 1)])
+def test_same_functors_in_the_same_order_on_one_point_up_to_size_four(max_size, min_size,
+                                                                       count):
+    """Every size the labels allow: one presheaf per map F(X) → F(∅), and
+    one basis presheaf per size of F(X)."""
+    assert assert_same_as_reference(ONE_POINT, max_size, min_size) == count
+
+
+@pytest.mark.parametrize("enumerate_, source", [
+    (enumerate_presheaves, ONE_POINT), (enumerate_basis_presheaves, minimal_basis(ONE_POINT))])
+@pytest.mark.parametrize("max_size, min_size", [(5, 4), (2, -1), (5, -1)])
+def test_sizes_outside_the_labels_are_refused(enumerate_, source, max_size, min_size):
+    """Sizes above ``len(_LABELS)`` would alias the largest one, and
+    negative ones have no sets."""
+    with pytest.raises(ValueError, match=f"min_size={min_size}, max_size={max_size}"):
+        next(enumerate_(source, max_size=max_size, min_size=min_size))
+
+
+@pytest.mark.parametrize("enumerate_, source", [
+    (enumerate_presheaves, ONE_POINT), (enumerate_basis_presheaves, minimal_basis(ONE_POINT))])
+def test_empty_size_range_yields_nothing(enumerate_, source):
+    assert list(enumerate_(source, max_size=1, min_size=2)) == []
+
+
+def test_basis_presheaves_are_built_functorial():
+    """Like ``enumerate_presheaves``, the basis enumerator yields functors
+    by construction, flagged so and never re-validated."""
+    got = list(enumerate_basis_presheaves(minimal_basis(THREE_POINTS[9])))
+    assert got and all(bp.__dict__["functorial"] is True for bp in got)
+    assert all(bp.validate() for bp in got)
+
+
 def exhaustive() -> int:
     """The comparison on every topology on at most three points and every
     four-point topology with at most six opens, and at size three and from

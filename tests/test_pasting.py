@@ -5,9 +5,10 @@ On a finite space a functor F is a sheaf iff F(∅) is a point and, at each
 pasting step (U, U∖E, U_x, U_x∖E) of ``FiniteSpace.pasting_steps``,
 F(U) → F(U∖E) ×_{F(U_x∖E)} F(U_x) is a bijection.  The verdict is compared
 with G1 and G2 on the minimal-open coverings, on every antichain covering
-and on every covering; ``check_sheaf`` reports failures exactly as the
-covering check does.  Presheaves that are not functors keep the covering
-check.
+and on every covering (on every small presheaf over at most three points
+in criterion 01 of ``tests/test_acceptance.py``); ``check_sheaf`` reports
+failures exactly as the covering check does.  Presheaves that are not
+functors keep the covering check.
 
 Limits over the minimal opens are pasted the same way.  The product scan
 they replaced, ``values.compatible_families`` behind the references of
@@ -43,7 +44,6 @@ from finsheaf.topology import (
     Basis,
     ContinuousMap,
     check_continuous,
-    enumerate_all_coverings,
     enumerate_antichain_coverings,
     minimal_open,
     minimal_open_coverings,
@@ -68,26 +68,6 @@ def functorial(p: Presheaf) -> Presheaf:
 
 
 # -- the verdict --------------------------------------------------------------------
-
-def test_pasting_verdict_matches_every_covering_check_on_three_points():
-    """Every FinSet presheaf with |F(U)| ≤ 2 on every topology on at most
-    three points, non-T0 ones included: the pasted verdict equals the
-    covering check on the minimal opens, on every antichain covering and on
-    every covering."""
-    total = sheaves = 0
-    for space in UP_TO_THREE_POINTS:
-        anti = {u: enumerate_antichain_coverings(space, u) for u in space.opens}
-        full = {u: enumerate_all_coverings(space, u) for u in space.opens}
-        for p in enumerate_presheaves(space, max_size=2):
-            assert p.functorial
-            verdict = is_sheaf(p)
-            assert is_sheaf(p, coverings=minimal_open_coverings) == verdict
-            assert is_sheaf(p, coverings=lambda _, u: anti[u]) == verdict
-            assert is_sheaf(p, coverings=lambda _, u: full[u]) == verdict
-            total += 1
-            sheaves += verdict
-    assert (total, sheaves) == (302027, 1067)
-
 
 def assert_verdicts_agree(p: Presheaf, antichains: bool) -> bool:
     """The pasted verdict of the functor ``p`` against the covering checks,

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from itertools import product as iproduct
 
 from finsheaf import fixtures as fx
@@ -101,31 +102,40 @@ def finab_fixture_pool():
     ]
 
 
+@cache
+def verdicts_on_three_points() -> tuple[int, int]:
+    """All topologies on <= 3 points, non-T0 ones included, all FinSet
+    presheaves with section sets of size <= 2, each built functorial: the
+    default (pasted) verdict, the covering check on the minimal opens, on
+    all antichain coverings and on all coverings give one verdict.  Returns
+    (presheaves, sheaves).  One pass, cached, serves criterion 01 and
+    ``tests/test_pasting.py``; a failed assertion is not cached, so each
+    caller that runs it fails."""
+    spaces = []
+    for n in (0, 1, 2, 3):
+        spaces += enumerate_topologies([str(i) for i in range(1, n + 1)])
+    assert sum(1 for s in spaces if len(s.points) == 3) == 29
+    total = sheaves = 0
+    for sp in spaces:
+        anti = {u: enumerate_antichain_coverings(sp, u) for u in sp.opens}
+        full = {u: enumerate_all_coverings(sp, u) for u in sp.opens}
+        anti_fn = lambda space, u: anti[u]
+        full_fn = lambda space, u: full[u]
+        for p in enumerate_presheaves(sp, max_size=2):
+            assert p.functorial
+            verdict = is_sheaf(p)
+            assert is_sheaf(p, coverings=minimal_open_coverings) == verdict
+            assert is_sheaf(p, coverings=anti_fn) == verdict
+            assert is_sheaf(p, coverings=full_fn) == verdict
+            total += 1
+            sheaves += verdict
+    return total, sheaves
+
+
 class TestCriterion01:
     def test_antichain_equals_full_enumeration(self):
-        """All topologies on <= 3 points, non-T0 ones included, all FinSet
-        presheaves with section sets of size <= 2, each built functorial:
-        the default (pasted) verdict, the covering check on the minimal
-        opens, on all antichain coverings and on all coverings give one
-        verdict; expected < 60 s."""
-        spaces = []
-        for n in (0, 1, 2, 3):
-            spaces += enumerate_topologies([str(i) for i in range(1, n + 1)])
-        assert sum(1 for s in spaces if len(s.points) == 3) == 29
-        total = sheaves = 0
-        for sp in spaces:
-            anti = {u: enumerate_antichain_coverings(sp, u) for u in sp.opens}
-            full = {u: enumerate_all_coverings(sp, u) for u in sp.opens}
-            anti_fn = lambda space, u: anti[u]
-            full_fn = lambda space, u: full[u]
-            for p in enumerate_presheaves(sp, max_size=2):
-                assert p.functorial
-                verdict = is_sheaf(p)
-                assert is_sheaf(p, coverings=minimal_open_coverings) == verdict
-                assert is_sheaf(p, coverings=anti_fn) == verdict
-                assert is_sheaf(p, coverings=full_fn) == verdict
-                total += 1
-                sheaves += verdict
+        """The single pass of ``verdicts_on_three_points``; expected < 60 s."""
+        total, sheaves = verdicts_on_three_points()
         assert total > 300000
         assert (total, sheaves) == (302027, 1067)
         report(1, f"minimal-open verdict = antichain verdict = full verdict "

@@ -5,10 +5,9 @@ On a finite space a functor F is a sheaf iff F(∅) is a point and, at each
 pasting step (U, U∖E, U_x, U_x∖E) of ``FiniteSpace.pasting_steps``,
 F(U) → F(U∖E) ×_{F(U_x∖E)} F(U_x) is a bijection.  The verdict is compared
 with G1 and G2 on the minimal-open coverings, on every antichain covering
-and on every covering (on every small presheaf over at most three points
-in criterion 01 of ``tests/test_acceptance.py``); ``check_sheaf`` reports
-failures exactly as the covering check does.  Presheaves that are not
-functors keep the covering check.
+and on every covering; ``check_sheaf`` reports failures exactly as the
+covering check does.  Presheaves that are not functors keep the covering
+check.
 
 Limits over the minimal opens are pasted the same way.  The product scan
 they replaced, ``values.compatible_families`` behind the references of
@@ -51,6 +50,7 @@ from finsheaf.topology import (
 )
 from finsheaf.values import Poset, compatible_families as scan, finset
 
+from test_acceptance import verdicts_on_three_points
 from test_homs import minimal_basis
 from test_laws import (assert_extension_matches, assert_pullback_matches, functorial_reference,
                        mutants)
@@ -68,6 +68,14 @@ def functorial(p: Presheaf) -> Presheaf:
 
 
 # -- the verdict --------------------------------------------------------------------
+
+def test_pasting_verdict_matches_every_covering_check_on_three_points():
+    """Every FinSet presheaf with |F(U)| ≤ 2 on every topology on at most
+    three points, non-T0 ones included: the pasted verdict equals the
+    covering check on the minimal opens, on every antichain covering and on
+    every covering.  The pass is criterion 01's, made once per session."""
+    assert verdicts_on_three_points() == (302027, 1067)
+
 
 def assert_verdicts_agree(p: Presheaf, antichains: bool) -> bool:
     """The pasted verdict of the functor ``p`` against the covering checks,
